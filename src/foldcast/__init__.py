@@ -24,10 +24,12 @@ from .tensor import (
     ShapeError,
     Tensor,
     adam_step,
+    attention,
     concat_lastdim,
     gelu,
     huber_loss,
     layer_norm,
+    linear,
     matmul,
     softmax_lastdim,
 )

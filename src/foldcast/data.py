@@ -68,8 +68,9 @@ class TrafficSeries:
 class SampleWindow:
     """One training example: T input steps and T' target steps per node.
 
-    ``input`` is (N x T) node-major, ``target`` is (N x T'); ``anchor_t``
-    is the series row index of the last input step, and tod/dow phases are
+    ``input`` is (N x T) node-major, ``target`` is (N x T'); both are
+    read-only views into the series they were cut from. ``anchor_t`` is
+    the series row index of the last input step, and tod/dow phases are
     taken at that anchor.
     """
 
@@ -215,7 +216,8 @@ def make_windows(series, t_in, horizon, split=(0.6, 0.2, 0.2)):
     A window with start row k belongs to train when it fits entirely below
     the train row boundary (so no train target crosses it), to val when it
     fits below the val/test boundary, and to test otherwise. Every window
-    is assigned to exactly one split.
+    is assigned to exactly one split. Windows are read-only views of one
+    node-major view of ``series.values``, so windowing copies no data.
     """
     if t_in < 1 or horizon < 1:
         raise ValueError("window lengths must be >= 1")
@@ -227,12 +229,14 @@ def make_windows(series, t_in, horizon, split=(0.6, 0.2, 0.2)):
         )
     r1, r2 = split_boundaries(steps, split)
     span = t_in + horizon
+    node_major = series.values.T
+    node_major.flags.writeable = False
     out = ([], [], [])
     for k in range(total):
         end = k + span
         window = SampleWindow(
-            input=series.values[k : k + t_in].T.copy(),
-            target=series.values[k + t_in : end].T.copy(),
+            input=node_major[:, k : k + t_in],
+            target=node_major[:, k + t_in : end],
             anchor_t=k + t_in - 1,
             tod_index=series.tod_index(k + t_in - 1),
             dow_index=series.dow_index(k + t_in - 1),

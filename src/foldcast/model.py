@@ -151,20 +151,9 @@ def msa(z, params, layer, heads):
     Scores are scaled by sqrt(width / heads); heads are concatenated and
     passed through the output projection.
     """
-    groups, s, width = z.shape
-    head_dim = width // heads
-    qkv = T.add(T.matmul(z, params[f"enc.{layer}.qkv"]), params[f"enc.{layer}.qkv_b"])
-    parts = []
-    for j, lo in enumerate((0, width, 2 * width)):
-        piece = T.slice_lastdim(qkv, lo, lo + width)
-        piece = T.reshape(piece, (groups, s, heads, head_dim))
-        parts.append(T.transpose(piece, (0, 2, 1, 3)))  # (groups, h, s, hd)
-    q, k, v = parts
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
-    attn = T.softmax_lastdim(scores)
-    ctx = T.matmul(attn, v)  # (groups, h, s, hd)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (groups, s, width))
-    return T.add(T.matmul(ctx, params[f"enc.{layer}.wo"]), params[f"enc.{layer}.wo_b"])
+    qkv = T.linear(z, params[f"enc.{layer}.qkv"], params[f"enc.{layer}.qkv_b"])
+    ctx = T.attention(qkv, heads)
+    return T.linear(ctx, params[f"enc.{layer}.wo"], params[f"enc.{layer}.wo_b"])
 
 
 def encoder_forward(z0, params, layers, heads):
@@ -175,15 +164,15 @@ def encoder_forward(z0, params, layers, heads):
         normed = T.layer_norm(z, params[f"enc.{i}.ln1.g"], params[f"enc.{i}.ln1.b"])
         z = T.add(msa(normed, params, i, heads), z)
         normed = T.layer_norm(z, params[f"enc.{i}.ln2.g"], params[f"enc.{i}.ln2.b"])
-        ffn = T.add(T.matmul(normed, params[f"enc.{i}.ffn1"]), params[f"enc.{i}.ffn1_b"])
+        ffn = T.linear(normed, params[f"enc.{i}.ffn1"], params[f"enc.{i}.ffn1_b"])
         ffn = T.gelu(ffn)
-        ffn = T.add(T.matmul(ffn, params[f"enc.{i}.ffn2"]), params[f"enc.{i}.ffn2_b"])
+        ffn = T.linear(ffn, params[f"enc.{i}.ffn2"], params[f"enc.{i}.ffn2_b"])
         z = T.add(ffn, z)
     return z
 
 
 def predict(z, params):
     """Per-token MLP head with GELU between the two linear maps."""
-    h = T.add(T.matmul(z, params["head.0"]), params["head.0_b"])
+    h = T.linear(z, params["head.0"], params["head.0_b"])
     h = T.gelu(h)
-    return T.add(T.matmul(h, params["head.1"]), params["head.1_b"])
+    return T.linear(h, params["head.1"], params["head.1_b"])

@@ -8,6 +8,14 @@ order. Evaluation is single-threaded and tensors are treated as immutable
 after creation (the optimizer step on parameters is the one sanctioned
 exception), so repeated forward passes over identical inputs are
 bit-identical.
+
+Two fused ops keep the tape short: ``linear`` (x @ w + b as one node) and
+``attention`` (multi-head softmax(QK^T/sqrt(hd))V over a packed qkv tensor,
+with a hand-written backward). A gradient an op freshly allocates becomes
+the receiving tensor's ``.grad`` without a copy. After ``backward()`` only
+leaf tensors keep ``.grad``; every interior node's is released as soon as
+its closure has run, so calling ``backward()`` again on the same graph adds
+exactly one more gradient to each leaf.
 """
 from __future__ import annotations
 
@@ -114,6 +122,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None  # interior: free it now; leaves keep theirs
 
 
 def _as_tensor(x):
@@ -138,11 +147,18 @@ def _from_op(data, parents, backward):
     return out
 
 
-def _accumulate(t, g):
+def _accumulate(t, g, owned=False):
+    """Add ``g`` into ``t.grad``.
+
+    ``owned`` says the calling op allocated ``g`` afresh and hands it to
+    no other tensor, so a first gradient is taken over without a copy.
+    Anything else (a view, a broadcast, an array shared between parents)
+    is copied before ``t.grad`` may be updated in place.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g)  # own a copy; g may be a view or broadcast
+        t.grad = g if owned and isinstance(g, np.ndarray) else np.array(g)
     else:
         t.grad += g
 
@@ -163,8 +179,9 @@ def add(a, b):
     data = a.data + b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        # without broadcasting both parents would see the same ``g``
+        _accumulate(a, _unbroadcast(g, a.data.shape), owned=a.data.shape != g.shape)
+        _accumulate(b, _unbroadcast(g, b.data.shape), owned=b.data.shape != g.shape)
 
     return _from_op(data, (a, b), backward)
 
@@ -174,8 +191,8 @@ def sub(a, b):
     data = a.data - b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
+        _accumulate(a, _unbroadcast(g, a.data.shape), owned=a.data.shape != g.shape)
+        _accumulate(b, _unbroadcast(-g, b.data.shape), owned=True)
 
     return _from_op(data, (a, b), backward)
 
@@ -185,8 +202,8 @@ def mul(a, b):
     data = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+        _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _from_op(data, (a, b), backward)
 
@@ -207,18 +224,44 @@ def matmul(a, b):
 
         def backward(g):
             g2 = g.reshape(-1, n)
-            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape))
-            _accumulate(b, a2.T @ g2)
+            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape), owned=True)
+            _accumulate(b, a2.T @ g2, owned=True)
 
         return _from_op(data, (a, b), backward)
 
     data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape), owned=True)
+        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape), owned=True)
 
     return _from_op(data, (a, b), backward)
+
+
+def linear(x, w, b):
+    """``x @ w + b`` as one node: one GEMM, the bias added in place.
+
+    ``w`` is (k, n) and ``b`` is (n,); leading dimensions of ``x`` are
+    flattened into the GEMM's rows, exactly as ``matmul`` does.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim < 2 or w.ndim != 2:
+        raise ShapeError(f"linear needs ndim >= 2 input, 2-D weight: {x.shape} @ {w.shape}")
+    k, n = w.data.shape
+    if x.data.shape[-1] != k or b.data.shape != (n,):
+        raise ShapeError(f"linear shapes disagree: {x.shape} @ {w.shape} + {b.shape}")
+    x2 = x.data if x.ndim == 2 else np.ascontiguousarray(x.data).reshape(-1, k)
+    data = x2 @ w.data
+    data += b.data
+    data = data.reshape(x.data.shape[:-1] + (n,))
+
+    def backward(g):
+        g2 = g.reshape(-1, n)
+        _accumulate(x, (g2 @ w.data.T).reshape(x.data.shape), owned=True)
+        _accumulate(w, x2.T @ g2, owned=True)
+        _accumulate(b, g.sum(axis=tuple(range(g.ndim - 1))), owned=True)
+
+    return _from_op(data, (x, w, b), backward)
 
 
 def tsum(t, axis=None, keepdims=False):
@@ -226,12 +269,9 @@ def tsum(t, axis=None, keepdims=False):
     data = t.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            _accumulate(t, np.broadcast_to(g, t.data.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(t, np.broadcast_to(g, t.data.shape).copy())
+        _accumulate(t, np.broadcast_to(g, t.data.shape).copy(), owned=True)
 
     return _from_op(np.asarray(data), (t,), backward)
 
@@ -290,7 +330,7 @@ def slice_lastdim(t, start, stop):
     def backward(g):
         full = np.zeros_like(t.data)
         full[..., start:stop] = g
-        _accumulate(t, full)
+        _accumulate(t, full, owned=True)
 
     return _from_op(data, (t,), backward)
 
@@ -311,7 +351,7 @@ def gather_rows(t, index):
     def backward(g):
         full = np.zeros_like(t.data)
         np.add.at(full, index, g)
-        _accumulate(t, full)
+        _accumulate(t, full, owned=True)
 
     return _from_op(data, (t,), backward)
 
@@ -325,9 +365,50 @@ def softmax_lastdim(x):
 
     def backward(g):
         inner = (g * data).sum(axis=-1, keepdims=True)
-        _accumulate(x, (g - inner) * data)
+        _accumulate(x, (g - inner) * data, owned=True)
 
     return _from_op(data, (x,), backward)
+
+
+def attention(qkv, heads):
+    """Multi-head self-attention over packed projections, as one node.
+
+    ``qkv`` is (groups, s, 3w): queries, keys and values side by side, each
+    split into ``heads`` heads of width hd = w / heads. Returns the
+    (groups, s, w) merged-head context softmax(Q K^T / sqrt(hd)) V. Only the
+    probabilities, q, k^T and v are kept for the hand-written backward.
+    """
+    qkv = _as_tensor(qkv)
+    if qkv.ndim != 3 or qkv.data.shape[-1] % (3 * heads):
+        raise ShapeError(f"attention needs (groups, s, 3 * heads * hd), got {qkv.shape}")
+    groups, s, three_w = qkv.data.shape
+    width = three_w // 3
+    head_dim = width // heads
+    scale = 1.0 / np.sqrt(head_dim)
+    split = qkv.data.reshape(groups, s, 3, heads, head_dim).transpose(2, 0, 3, 1, 4)
+    q, k, v = np.ascontiguousarray(split)  # each (groups, h, s, hd)
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    p = q @ kt
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    data = (p @ v).transpose(0, 2, 1, 3).reshape(groups, s, width)
+
+    def backward(g):
+        g_ctx = g.reshape(groups, s, heads, head_dim).transpose(0, 2, 1, 3)
+        d = np.empty((3, groups, heads, s, head_dim))
+        np.matmul(p.swapaxes(-1, -2), g_ctx, out=d[2])
+        dp = g_ctx @ v.swapaxes(-1, -2)
+        dp -= (dp * p).sum(axis=-1, keepdims=True)
+        dp *= p
+        dp *= scale
+        np.matmul(dp, kt.swapaxes(-1, -2), out=d[0])
+        d[1] = (q.swapaxes(-1, -2) @ dp).swapaxes(-1, -2)
+        dqkv = d.transpose(1, 3, 0, 2, 4).reshape(groups, s, three_w)
+        _accumulate(qkv, dqkv, owned=True)
+
+    return _from_op(data, (qkv,), backward)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -348,15 +429,15 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        _accumulate(beta, g.sum(axis=lead))
-        _accumulate(gamma, (g * xhat).sum(axis=lead))
+        _accumulate(beta, g.sum(axis=lead), owned=True)
+        _accumulate(gamma, (g * xhat).sum(axis=lead), owned=True)
         dxhat = g * gamma.data
         dx = inv * (
             dxhat
             - dxhat.mean(axis=-1, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         )
-        _accumulate(x, dx)
+        _accumulate(x, dx, owned=True)
 
     return _from_op(data, (x, gamma, beta), backward)
 
@@ -366,14 +447,24 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def gelu(x):
-    """Exact-erf GELU: x * Phi(x)."""
+    """Exact-erf GELU: x * Phi(x). Temporaries are updated in place."""
     x = _as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty_like(x.data))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     data = x.data * cdf
 
     def backward(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        _accumulate(x, g * (cdf + x.data * pdf))
+        # g * (cdf + x * pdf) with pdf = exp(-x^2 / 2) / sqrt(2 pi)
+        dx = np.multiply(x.data, -0.5, out=np.empty_like(x.data))
+        dx *= x.data
+        np.exp(dx, out=dx)
+        dx *= _INV_SQRT2PI
+        dx *= x.data
+        dx += cdf
+        dx *= g
+        _accumulate(x, dx, owned=True)
 
     return _from_op(data, (x,), backward)
 
@@ -405,7 +496,7 @@ def huber_loss(pred, target, delta, include=None):
     data = np.asarray((per * inc).sum() / count)
 
     def backward(g):
-        _accumulate(pred, g * inc * np.clip(err, -delta, delta) / count)
+        _accumulate(pred, g * inc * np.clip(err, -delta, delta) / count, owned=True)
 
     return _from_op(data, (pred,), backward)
 

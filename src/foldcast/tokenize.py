@@ -78,7 +78,7 @@ def fuse_embeddings_batch(tokens, tables, tod_indices, dow_indices):
         raise IndexError(f"tod index out of range [0, {freq})")
     if dow_indices.min() < 0 or dow_indices.max() >= 7:
         raise IndexError("dow index out of range [0, 7)")
-    e_x = T.add(T.matmul(Tensor(tokens), tables.wx), tables.wx_b)
+    e_x = T.linear(Tensor(tokens), tables.wx, tables.wx_b)
     node_ids = np.broadcast_to(np.arange(n), (b, n))
     e_s = T.gather_rows(tables.spatial, node_ids)
     e_tod = T.gather_rows(tables.tod, np.repeat(tod_indices[:, None], n, axis=1))
@@ -94,7 +94,7 @@ def fuse_embeddings_sf_batch(tokens, tables, tod_indices, dow_indices):
     still appended.
     """
     b, steps, _ = tokens.shape
-    e_x = T.add(T.matmul(Tensor(tokens), tables.wx), tables.wx_b)
+    e_x = T.linear(Tensor(tokens), tables.wx, tables.wx_b)
     e_tod = T.gather_rows(tables.tod, np.repeat(np.asarray(tod_indices)[:, None], steps, axis=1))
     e_dow = T.gather_rows(tables.dow, np.repeat(np.asarray(dow_indices)[:, None], steps, axis=1))
     return T.concat_lastdim([e_x, e_tod, e_dow])

@@ -131,7 +131,7 @@ class Forecaster:
             return preds
         # SF: (B, T, N) per-token forecasts -> time-axis map onto horizon
         node_major = T.transpose(preds, (0, 2, 1))
-        return T.add(T.matmul(node_major, self.params["sf.time"]), self.params["sf.time_b"])
+        return T.linear(node_major, self.params["sf.time"], self.params["sf.time_b"])
 
 
 def effective_subgraph_size(n_nodes, mask_ratio, subgraph_size):

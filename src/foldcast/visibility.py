@@ -36,7 +36,6 @@ class VisibilityPlan:
     kept: np.ndarray
     masked: np.ndarray
     slots: np.ndarray
-    rng_seed: int | None = None
 
     @property
     def pad_count(self):
@@ -52,7 +51,7 @@ class VisibilityPlan:
         return self.slots.size
 
 
-def plan_visibility(n_nodes, mask_ratio, subgraph_size, rng, rng_seed=None):
+def plan_visibility(n_nodes, mask_ratio, subgraph_size, rng):
     """Draw a fresh plan: uniform mask choice, uniform group assignment.
 
     With mask_ratio 0 and a subgraph covering all nodes the arrangement is
@@ -88,7 +87,6 @@ def plan_visibility(n_nodes, mask_ratio, subgraph_size, rng, rng_seed=None):
         kept=kept.astype(np.int64),
         masked=masked.astype(np.int64),
         slots=slotted.reshape(k, s),
-        rng_seed=rng_seed,
     )
 
 

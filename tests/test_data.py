@@ -162,6 +162,18 @@ class TestWindows:
         for w in test:
             assert w.anchor_t + 3 >= r2
 
+    def test_windows_are_read_only_views_of_the_series(self):
+        series = series_from(np.arange(24.0).reshape(8, 3))
+        train, val, test = make_windows(series, 3, 2, (0.5, 0.25, 0.25))
+        for w in train + val + test:
+            assert np.shares_memory(w.input, series.values)
+            assert np.shares_memory(w.target, series.values)
+            with pytest.raises(ValueError):
+                w.input[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                w.target[0, 0] = 1.0
+        assert series.values.flags.writeable
+
     def test_too_short_series(self):
         with pytest.raises(DataError, match="too short"):
             make_windows(series_from(np.zeros((4, 1))), 3, 2)

@@ -98,6 +98,48 @@ class TestMSA:
         assert np.all(np.abs(attn.data.sum(-1) - 1.0) <= 1e-12)
 
 
+def reference_msa(z, params, layer, heads):
+    """The unfused slice/reshape/transpose/mul/softmax chain ``msa`` replaced."""
+    groups, s, width = z.shape
+    head_dim = width // heads
+    qkv = T.add(T.matmul(z, params[f"enc.{layer}.qkv"]), params[f"enc.{layer}.qkv_b"])
+    parts = []
+    for lo in (0, width, 2 * width):
+        piece = T.slice_lastdim(qkv, lo, lo + width)
+        piece = T.reshape(piece, (groups, s, heads, head_dim))
+        parts.append(T.transpose(piece, (0, 2, 1, 3)))
+    q, k, v = parts
+    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
+    ctx = T.matmul(T.softmax_lastdim(scores), v)
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (groups, s, width))
+    return T.add(T.matmul(ctx, params[f"enc.{layer}.wo"]), params[f"enc.{layer}.wo_b"])
+
+
+class TestFusedParity:
+    @pytest.mark.parametrize("groups,s,width,heads", [(3, 5, 8, 2), (2, 1, 8, 2), (4, 7, 16, 4)])
+    def test_msa_bitwise_equals_unfused_chain(self, groups, s, width, heads):
+        rng = np.random.default_rng(11)
+        dims = toy_dims(width=width, heads=heads)
+        params = build_params(dims, rng)
+        for name in ("enc.0.qkv_b", "enc.0.wo_b"):
+            params[name].data = rng.standard_normal(params[name].shape)
+        z0 = rng.standard_normal((groups, s, width))
+        w = rng.standard_normal((groups, s, width))
+        names = ("enc.0.qkv", "enc.0.qkv_b", "enc.0.wo", "enc.0.wo_b")
+        results = []
+        for fn in (msa, reference_msa):
+            params.zero_grads()
+            zt = Tensor(z0, requires_grad=True)
+            out = fn(zt, params, 0, heads)
+            T.tsum(T.mul(out, w)).backward()
+            results.append((out.data, zt.grad, [params[n].grad for n in names]))
+        (out, gz, gp), (ref_out, ref_gz, ref_gp) = results
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(gz, ref_gz)
+        for name, a, b in zip(names, gp, ref_gp):
+            assert np.array_equal(a, b), name
+
+
 class TestEncoder:
     def test_zeroed_branch_outputs_make_identity(self):
         rng = np.random.default_rng(3)

@@ -229,6 +229,134 @@ class TestMovementOps:
         assert abs(x.grad - 6.0) < 1e-12
 
 
+class TestLinear:
+    @pytest.mark.parametrize("lead", [(4,), (2, 3)])
+    def test_grads_match_fd(self, lead):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(lead + (5,))
+        w = rng.standard_normal((5, 3))
+        b = rng.standard_normal(3)
+        proj = rng.standard_normal(lead + (3,))
+        xt, wt, bt = (Tensor(v, requires_grad=True) for v in (x, w, b))
+        out = T.linear(xt, wt, bt)
+        assert np.allclose(out.data, x @ w + b, rtol=0, atol=1e-12)
+        proj_loss(out, proj).backward()
+
+        def f(xv, wv, bv):
+            return float(((xv @ wv + bv) * proj).sum())
+
+        assert max_rel_err(xt.grad, central_diff(lambda v: f(v, w, b), x)) < 1e-6
+        assert max_rel_err(wt.grad, central_diff(lambda v: f(x, v, b), w)) < 1e-6
+        assert max_rel_err(bt.grad, central_diff(lambda v: f(x, w, v), b)) < 1e-6
+
+    def test_bitwise_equal_to_matmul_then_add(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((3, 4, 6))
+        w, b = rng.standard_normal((6, 5)), rng.standard_normal(5)
+        assert np.array_equal(T.linear(x, w, b).data, T.add(T.matmul(x, w), b).data)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            T.linear(np.zeros((2, 4)), np.zeros((3, 5)), np.zeros(5))
+        with pytest.raises(ShapeError):
+            T.linear(np.zeros((2, 4)), np.zeros((4, 5)), np.zeros(4))
+
+
+def attention_oracle(qkv, heads):
+    """Per-group, per-head numpy attention over packed (groups, s, 3w) input."""
+    groups, s, three_w = qkv.shape
+    width = three_w // 3
+    hd = width // heads
+    out = np.zeros((groups, s, width))
+    for g in range(groups):
+        for h in range(heads):
+            cols = slice(h * hd, (h + 1) * hd)
+            q = qkv[g, :, :width][:, cols]
+            k = qkv[g, :, width : 2 * width][:, cols]
+            v = qkv[g, :, 2 * width :][:, cols]
+            scores = q @ k.T / np.sqrt(hd)
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            out[g, :, cols] = (e / e.sum(axis=-1, keepdims=True)) @ v
+    return out
+
+
+class TestAttention:
+    @pytest.mark.parametrize(
+        "groups,s,heads,hd", [(2, 3, 2, 2), (1, 1, 2, 3), (3, 4, 1, 4), (2, 5, 3, 2)]
+    )
+    def test_forward_and_grad_match_oracle(self, groups, s, heads, hd):
+        rng = np.random.default_rng(14)
+        qkv = rng.standard_normal((groups, s, 3 * heads * hd))
+        w = rng.standard_normal((groups, s, heads * hd))
+        assert np.allclose(T.attention(Tensor(qkv), heads).data, attention_oracle(qkv, heads),
+                           rtol=0, atol=1e-12)
+        g = grad_of(lambda xt: proj_loss(T.attention(xt, heads), w), qkv)
+        fd = central_diff(lambda v: float((attention_oracle(v, heads) * w).sum()), qkv)
+        assert max_rel_err(g, fd) < 1e-5
+
+    def test_single_token_passes_values_through(self):
+        rng = np.random.default_rng(15)
+        qkv = rng.standard_normal((3, 1, 12))
+        assert np.array_equal(T.attention(Tensor(qkv), 2).data, qkv[..., 8:])
+
+    def test_shape_error(self):
+        with pytest.raises(ShapeError):
+            T.attention(Tensor(np.zeros((2, 3, 10))), 2)
+
+
+class TestOwnedGradients:
+    def test_add_self_matches_fd(self):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((3, 4))
+        w = rng.standard_normal((3, 4))
+        g = grad_of(lambda xt: proj_loss(T.add(xt, xt), w), x)
+        assert max_rel_err(g, central_diff(lambda v: float(((v + v) * w).sum()), x)) < 1e-8
+
+    def test_diamond_with_extra_contribution(self):
+        # h = a + b feeds both branches; a also reaches the loss directly,
+        # so a's first (possibly owned) gradient is later added to in place.
+        rng = np.random.default_rng(17)
+        a0, b0 = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+        w1, w2, w3 = (rng.standard_normal((2, 3)) for _ in range(3))
+
+        def f(av, bv):
+            h = av + bv
+            return float(((h * w1) * (h * w2) + av * w3).sum())
+
+        at, bt = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+        h = T.add(at, bt)
+        loss = T.add(T.tsum(T.mul(T.mul(h, w1), T.mul(h, w2))), T.tsum(T.mul(at, w3)))
+        loss.backward()
+        assert not np.shares_memory(at.grad, bt.grad)
+        assert max_rel_err(at.grad, central_diff(lambda v: f(v, b0), a0)) < 1e-7
+        assert max_rel_err(bt.grad, central_diff(lambda v: f(a0, v), b0)) < 1e-7
+
+    def test_concat_siblings_do_not_share(self):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        y = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        T.tsum(T.mul(T.concat_lastdim([x, y]), rng.standard_normal((2, 6)))).backward()
+        assert not np.shares_memory(x.grad, y.grad)
+
+
+class TestBackwardSemantics:
+    def test_second_backward_adds_one_more_gradient(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = T.tsum(T.mul(3.0, T.add(x, 1.0)))
+        loss.backward()
+        assert np.array_equal(x.grad, [3.0, 3.0])
+        loss.backward()
+        assert np.array_equal(x.grad, [6.0, 6.0])
+
+    def test_only_leaves_keep_grad(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        mid = T.gelu(x)
+        loss = T.tsum(mid)
+        loss.backward()
+        assert x.grad is not None
+        assert mid.grad is None and loss.grad is None
+
+
 class TestHuber:
     def test_quadratic_branch(self):
         loss = T.huber_loss(Tensor([0.5]), np.array([0.0]), 1.0)
