@@ -8,6 +8,7 @@ permutation-equivariant over it.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,20 @@ class ModelParams:
 
     def grads(self):
         return {name: t.grad for name, t in self.tensors.items() if t.grad is not None}
+
+    @contextmanager
+    def no_grad(self):
+        """Context in which forwards record no tape: every parameter's
+        ``requires_grad`` is cleared on entry, and each flag is restored on
+        exit, also when the body raises."""
+        saved = [(t, t.requires_grad) for t in self.tensors.values()]
+        for t, _ in saved:
+            t.requires_grad = False
+        try:
+            yield self
+        finally:
+            for t, flag in saved:
+                t.requires_grad = flag
 
     def clone_data(self):
         return {name: t.data.copy() for name, t in self.tensors.items()}

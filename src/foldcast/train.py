@@ -73,6 +73,12 @@ class TrainConfig:
             raise ValueError(f"folding must be TFG or SF, got {self.folding!r}")
         if self.mask_strategy not in V.STRATEGIES:
             raise ValueError(f"unknown mask_strategy {self.mask_strategy!r}")
+        if (len(self.split) != 3 or min(self.split) < 0 or self.split[0] <= 0
+                or abs(sum(self.split) - 1.0) > 1e-9):
+            raise ValueError(
+                "split must be three fractions >= 0 with a positive train "
+                f"fraction, summing to 1; got {self.split}"
+            )
         if self.max_epochs < 0 or self.patience < 1 or self.batch_size < 1:
             raise ValueError("max_epochs >= 0, patience >= 1, batch_size >= 1 required")
         width = (4 if self.folding == M.TFG else 3) * self.embed_dim
@@ -182,7 +188,9 @@ def evaluate(forecaster, windows, stats, batch_size=64, accumulator=None, per_ho
     """Inference-mode metrics over ``windows``, de-normalized via ``stats``.
 
     Ignores mask ratio and subgraph size entirely: a single full-graph
-    pass per sample. Optionally fills ``per_horizon`` accumulators
+    pass per sample. Records no tape: the forwards run under
+    ``params.no_grad()``, so each batch's activations are freed as soon as
+    its predictions are read. Optionally fills ``per_horizon`` accumulators
     (one per forecast step).
     """
     if not windows:
@@ -194,7 +202,8 @@ def evaluate(forecaster, windows, stats, batch_size=64, accumulator=None, per_ho
         targets = np.stack([w.target for w in batch])
         tod = np.array([w.tod_index for w in batch])
         dow = np.array([w.dow_index for w in batch])
-        preds = forecaster.forward_inference(inputs, tod, dow).data
+        with forecaster.params.no_grad():
+            preds = forecaster.forward_inference(inputs, tod, dow).data
         pred_units = invert_zscore(preds, stats)
         truth_units = invert_zscore(targets, stats)
         acc.update(pred_units, truth_units)
@@ -285,6 +294,9 @@ def train(config, series, progress=None):
             loss.backward()
             T.adam_step(params.tensors, params.grads(), state, lr)
             loss_sum += loss.item()
+            # the loss's closures hold every activation of the step; drop
+            # them before the next forward and the epoch's validation
+            del loss
             loss_batches += 1
             tokens_processed += tokens
         # wall time covers the training section only; validation cost is
@@ -402,33 +414,47 @@ def estimate_epoch_seconds(dims, config, n_train, n_val):
 
 
 def activation_float_count(dims, config, batch_size):
-    """Forward-tape float count for one training batch (the backward pass
-    roughly doubles it); an analytic stand-in for allocator peaks."""
+    """8-byte elements one training step's graph retains until it is
+    released: each node's output plus the arrays its backward closure keeps,
+    int64 gather indices included, parameters and boolean masks left out.
+    Counted op by op from ``tensor.py``; an analytic stand-in for the step's
+    allocator peak (the backward pass allocates gradients on top)."""
     n = dims.n_nodes
     w = dims.width
     f = dims.ffn_dim
+    b = batch_size
+    seq, feat = (n, dims.t_in) if dims.folding == M.TFG else (dims.t_in, n)
+    # fuse: input copy; projected and gathered parts, then their concat;
+    # tod/dow indices (plus the node ids in TFG)
+    total = b * seq * feat + 2 * b * seq * w + 2 * b * seq
+    if dims.folding == M.TFG:
+        total += n
+    else:
+        total += b * seq * feat  # the transposed input's GEMM-order copy
     if dims.folding == M.TFG and config.mask_strategy == "node_level":
         s = effective_subgraph_size(n, config.mask_ratio, config.subgraph_size)
-        tokens_per = visible_token_count(n, config.mask_ratio, s)
-        groups_per = tokens_per // s
+        tokens = b * visible_token_count(n, config.mask_ratio, s)
+        total += 2 * tokens * w + 2 * tokens  # gathered rows, masked rows, indices, pad mask
     else:
-        s = n if dims.folding == M.TFG else dims.t_in
-        tokens_per = s
-        groups_per = 1
-    tokens = batch_size * tokens_per
-    groups = batch_size * groups_per
-    fused = batch_size * n * w if dims.folding == M.TFG else batch_size * dims.t_in * w
+        s = seq
+        tokens = b * seq
+        if dims.folding == M.TFG:
+            total += 4 * tokens * w  # keep and inject masks, masked rows, perturbed rows
+    groups = tokens // s
     per_layer = (
-        2 * tokens * w  # ln out + residual
-        + tokens * 3 * w  # qkv
-        + 2 * groups * dims.heads * s * s  # scores + softmax
-        + 3 * tokens * w  # context, wo out, residual
-        + 2 * tokens * f  # ffn mid + gelu
-        + tokens * w
+        2 * (2 * tokens * w + tokens)  # two layer norms: output, x-hat, 1/sigma
+        + 3 * tokens * w  # qkv
+        + 5 * tokens * w  # attention: q/k/v copy, k^T, context
+        + groups * dims.heads * s * s  # attention probabilities
+        + 4 * tokens * w  # output projection, ffn2, two residuals
+        + 3 * tokens * f  # ffn1, gelu output and its cdf
     )
-    head_out = dims.horizon if dims.folding == M.TFG else dims.n_nodes
-    head = 2 * tokens * f + tokens * head_out
-    return fused + tokens * w + dims.layers * per_layer + head
+    total += dims.layers * per_layer + 3 * tokens * f  # head ffn and gelu
+    if dims.folding == M.TFG:
+        return total + 2 * tokens * dims.horizon  # predictions, huber error
+    # SF: per-token all-node forecasts, their node-major transpose, the
+    # time-axis map's output and the huber error
+    return total + 2 * tokens * n + 2 * b * n * dims.horizon
 
 
 def bench(config, series, grid, epochs=3):

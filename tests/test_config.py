@@ -58,6 +58,13 @@ class TestResolve:
         with pytest.raises(ConfigError):
             resolve({}, {"folding": "diagonal"})
 
+    def test_split_fractions_checked(self):
+        for raw in ("0.5,0.6,-0.1", "0,0.5,0.5", "0.6,0.2,0.1", "0.7,0.2,0.2"):
+            with pytest.raises(ConfigError, match="split"):
+                resolve({}, {"split": raw})
+        assert resolve({}, {"split": "0.7,0.1,0.2"}).train.split == (0.7, 0.1, 0.2)
+        assert resolve({}, {"split": "1,0,0"}).train.split == (1.0, 0.0, 0.0)
+
     def test_milestones_none(self):
         run = resolve({}, {"milestones": "none"})
         assert run.train.milestones == ()

@@ -1,0 +1,25 @@
+"""Every narrative script under demos/ runs to completion against the
+package sources."""
+import glob
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_runs(path, tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"), "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, path], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]

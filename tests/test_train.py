@@ -1,5 +1,8 @@
 """Training loop behavior: schedule, early stopping, convergence,
-train/inference consistency, and resource accounting."""
+train/inference consistency, graph release, and resource accounting."""
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from foldcast.synth import generate_series
 from foldcast.train import (
     Forecaster,
     TrainConfig,
+    activation_float_count,
     attention_pair_count,
     effective_subgraph_size,
     estimate_epoch_seconds,
@@ -19,8 +23,13 @@ from foldcast.train import (
     snapshot_token_count,
     tfg_token_count,
     train,
+    training_forward,
     visible_token_count,
 )
+
+# the package re-exports the function ``train``, so the module is looked up
+# by its full name
+TRAIN_MODULE = importlib.import_module("foldcast.train")
 
 MONDAY = 1609718400
 
@@ -220,3 +229,145 @@ class TestAccounting:
         assert effective_subgraph_size(20, 0.2, 50) == 16
         assert effective_subgraph_size(20, 0.0, 50) == 20
         assert effective_subgraph_size(307, 0.2, 50) == 50
+
+
+def _base(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def retained_words(loss, params):
+    """8-byte elements a training graph keeps alive: every node's data plus
+    the arrays its backward closure holds, deduplicated by base array, with
+    the parameters left out."""
+    skip = {id(_base(t.data)) for t in params.tensors.values()}
+    seen, stack, bases = {id(loss)}, [loss], {}
+    while stack:
+        node = stack.pop()
+        arrays = [node.data]
+        if node._backward is not None:
+            cells = node._backward.__closure__ or ()
+            arrays += [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+        for a in arrays:
+            base = _base(a)
+            if id(base) not in skip:
+                bases[id(base)] = base
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return sum(b.nbytes for b in bases.values()) / 8
+
+
+class TestActivationCount:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(mask_ratio=0.2, subgraph_size=4),
+            dict(mask_ratio=0.0, subgraph_size=10),
+            dict(folding="SF", mask_ratio=0.2, subgraph_size=4),
+            dict(mask_strategy="all_zero", mask_ratio=0.2, subgraph_size=10),
+        ],
+        ids=["tfg_r0.2", "tfg_r0_s=N", "sf", "tfg_all_zero"],
+    )
+    def test_matches_graph_walk(self, overrides):
+        n, batch = 10, 4
+        cfg = tiny_config(embed_dim=8, ffn_dim=16, batch_size=batch, **overrides)
+        rng = np.random.default_rng(0)
+        forecaster = Forecaster.build(cfg, n, 24, rng)
+        inputs = rng.normal(size=(batch, n, cfg.t_in))
+        targets = rng.normal(size=(batch, n, cfg.horizon))
+        tod, dow = rng.integers(0, 24, batch), rng.integers(0, 7, batch)
+        loss, _ = training_forward(forecaster, cfg, inputs, targets, tod, dow, rng)
+        walked = retained_words(loss, forecaster.params)
+        counted = activation_float_count(forecaster.dims, cfg, batch)
+        assert abs(counted - walked) <= 0.1 * walked, (counted, walked)
+
+
+def requires_grad_flags(forecaster):
+    return {name: t.requires_grad for name, t in forecaster.params.items()}
+
+
+class TestGraphRelease:
+    def _evaluation_setup(self):
+        series = sinusoid_series(seed=10)
+        cfg = tiny_config()
+        stats = fit_normalizer(series, 0.6)
+        _, val_w, _ = make_windows(apply_zscore(series, stats), cfg.t_in, cfg.horizon)
+        forecaster = Forecaster.build(
+            cfg, series.node_count, series.frequency, np.random.default_rng(1)
+        )
+        forecaster.params["embed.dow"].requires_grad = False  # a frozen parameter
+        return forecaster, val_w, stats
+
+    def test_evaluate_records_no_tape(self, monkeypatch):
+        forecaster, val_w, stats = self._evaluation_setup()
+        before = requires_grad_flags(forecaster)
+        outputs = []
+        real = Forecaster.forward_inference
+
+        def spy(model, *args):
+            out = real(model, *args)
+            outputs.append(out)
+            return out
+
+        monkeypatch.setattr(Forecaster, "forward_inference", spy)
+        evaluate(forecaster, val_w, stats, batch_size=len(val_w))
+        monkeypatch.undo()
+        assert len(outputs) == 1
+        assert not outputs[0].requires_grad
+        assert outputs[0]._parents == ()
+        assert requires_grad_flags(forecaster) == before
+        # the tape-free forward gives the same bits as a taped one
+        inputs = np.stack([w.input for w in val_w])
+        tod = np.array([w.tod_index for w in val_w])
+        dow = np.array([w.dow_index for w in val_w])
+        taped = forecaster.forward_inference(inputs, tod, dow)
+        assert taped.requires_grad
+        assert np.array_equal(taped.data, outputs[0].data)
+
+    def test_flags_restored_when_forward_raises(self, monkeypatch):
+        forecaster, val_w, stats = self._evaluation_setup()
+        before = requires_grad_flags(forecaster)
+        seen = []
+        real = Forecaster.forward_inference
+
+        def failing(model, *args):
+            real(model, *args)
+            seen.append(requires_grad_flags(model))
+            raise RuntimeError("forward failed")
+
+        monkeypatch.setattr(Forecaster, "forward_inference", failing)
+        with pytest.raises(RuntimeError, match="forward failed"):
+            evaluate(forecaster, val_w, stats)
+        assert seen and not any(seen[0].values())
+        assert requires_grad_flags(forecaster) == before
+
+    def test_train_releases_each_step_graph(self, monkeypatch):
+        refs = []
+        validations = []
+        real_forward = TRAIN_MODULE.training_forward
+        real_evaluate = TRAIN_MODULE.evaluate
+
+        def assert_released(where):
+            alive = [i for i, ref in enumerate(refs) if ref() is not None]
+            assert not alive, f"graphs of steps {alive} alive at {where}"
+
+        def forward(*args, **kwargs):
+            assert_released(f"step {len(refs)}")
+            loss, tokens = real_forward(*args, **kwargs)
+            refs.append(weakref.ref(loss.data))
+            return loss, tokens
+
+        def validate(*args, **kwargs):
+            assert_released(f"validation {len(validations)}")
+            validations.append(len(refs))
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(TRAIN_MODULE, "training_forward", forward)
+        monkeypatch.setattr(TRAIN_MODULE, "evaluate", validate)
+        result = train(tiny_config(max_epochs=2, patience=5), sinusoid_series(seed=11))
+        assert result.epochs_run == 2
+        assert len(validations) == 2
+        assert validations[0] > 1  # several steps per epoch
