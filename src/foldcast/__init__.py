@@ -8,7 +8,6 @@ from .data import (
     TrafficSeries,
     apply_zscore,
     fit_normalizer,
-    ha_baseline,
     ha_fit,
     invert_zscore,
     load_series,
@@ -33,21 +32,8 @@ from .tensor import (
     matmul,
     softmax_lastdim,
 )
-from .tokenize import (
-    EmbeddingTables,
-    export_embeddings,
-    fold_spatial_sf,
-    fold_temporal,
-    fuse_embeddings,
-    unfold_temporal,
-)
+from .tokenize import EmbeddingTables, export_embeddings
 from .train import Forecaster, TrainConfig, bench, evaluate, train
-from .visibility import (
-    VisibilityPlan,
-    apply_visibility,
-    masking_variant,
-    plan_visibility,
-    scatter_back,
-)
+from .visibility import VisibilityPlan, apply_visibility, plan_visibility
 
 __version__ = "0.1.0"

@@ -19,18 +19,16 @@ from .checkpoint import load_into, save_checkpoint
 from .data import apply_zscore, fit_normalizer, load_series, make_windows, save_series
 from .errors import CheckpointError, ConfigError, DataError, DivergenceError
 from .metrics import MAPE_FLOOR, MetricAccumulator
-from .model import TFG
 from .synth import generate_series
 from .tokenize import export_embeddings
 from .train import (
     Forecaster,
     bench,
-    effective_subgraph_size,
     evaluate,
     format_bench_rows,
     format_log_rows,
+    sample_geometry,
     train,
-    visible_token_count,
 )
 from .visibility import STRATEGIES
 
@@ -103,6 +101,8 @@ def _overrides(args):
         over[key.strip()] = val.strip()
     if args.seed is not None:
         over["seed"] = str(args.seed)
+    if getattr(args, "dataset", None):  # eval's --dataset
+        over["dataset"] = args.dataset
     return over
 
 
@@ -151,27 +151,23 @@ def cmd_train(args):
     return 0
 
 
-def _load_forecaster(args, run, series):
+def _load_checkpoint(args):
+    """(run, series, forecaster) for ``args.checkpoint``: the run config
+    from ``--config`` or the snapshot beside the checkpoint, its dataset,
+    and the trained model."""
+    if not os.path.exists(args.checkpoint):
+        raise CheckpointError(f"checkpoint not found: {args.checkpoint}")
+    run = _resolve(args, snapshot_dir=os.path.dirname(args.checkpoint))
+    series = load_series(run.dataset)
     forecaster = Forecaster.build(
         run.train, series.node_count, series.frequency, np.random.default_rng(0)
     )
     load_into(forecaster.params, args.checkpoint)
-    return forecaster
+    return run, series, forecaster
 
 
 def cmd_eval(args):
-    if not os.path.exists(args.checkpoint):
-        raise CheckpointError(f"checkpoint not found: {args.checkpoint}")
-    run = _resolve(
-        args, require_dataset=False, snapshot_dir=os.path.dirname(args.checkpoint)
-    )
-    dataset = args.dataset or run.dataset
-    if not dataset:
-        raise ConfigError("no dataset path configured (set the 'dataset' key)")
-    if not os.path.exists(dataset):
-        raise ConfigError(f"dataset path not found: {dataset}")
-    series = load_series(dataset)
-    forecaster = _load_forecaster(args, run, series)
+    run, series, forecaster = _load_checkpoint(args)
     stats = fit_normalizer(series, run.train.split[0])
     windows = make_windows(
         apply_zscore(series, stats), run.train.t_in, run.train.horizon, run.train.split
@@ -232,14 +228,7 @@ def cmd_ablate(args):
     for raw in raw_values:
         raw = raw.strip()
         try:
-            if args.axis == "mask_ratio":
-                cfg = replace(run.train, mask_ratio=float(raw))
-            elif args.axis == "subgraph_size":
-                cfg = replace(run.train, subgraph_size=int(raw))
-            elif args.axis == "mask_strategy":
-                cfg = replace(run.train, mask_strategy=raw)
-            else:
-                cfg = replace(run.train, folding=raw)
+            cfg = replace(run.train, **{args.axis: C.SCHEMA[args.axis][0](raw)})
             cfg.validate()
         except ValueError as exc:
             raise ConfigError(f"bad {args.axis} value {raw!r}: {exc}") from exc
@@ -249,14 +238,7 @@ def cmd_ablate(args):
         result = train(cfg, series)
         test_w = result.windows[2] or result.windows[1] or result.windows[0]
         test = evaluate(result.forecaster, test_w, result.stats)
-        dims = result.forecaster.dims
-        if cfg.folding == TFG:
-            s_eff = effective_subgraph_size(
-                dims.n_nodes, cfg.mask_ratio, cfg.subgraph_size
-            )
-            tokens = visible_token_count(dims.n_nodes, cfg.mask_ratio, s_eff)
-        else:
-            tokens = cfg.t_in
+        tokens, _, _ = sample_geometry(result.forecaster.dims, cfg)
         rows.append(
             [
                 args.axis,
@@ -295,15 +277,7 @@ def cmd_synth(args):
 
 
 def cmd_dump_embeddings(args):
-    if not os.path.exists(args.checkpoint):
-        raise CheckpointError(f"checkpoint not found: {args.checkpoint}")
-    run = _resolve(
-        args, require_dataset=False, snapshot_dir=os.path.dirname(args.checkpoint)
-    )
-    if not run.dataset or not os.path.exists(run.dataset):
-        raise ConfigError("dump-embeddings needs the dataset to size the tables")
-    series = load_series(run.dataset)
-    forecaster = _load_forecaster(args, run, series)
+    _, _, forecaster = _load_checkpoint(args)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "embeddings.csv")
     export_embeddings(forecaster.params.tables(), out_path)

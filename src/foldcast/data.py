@@ -323,7 +323,3 @@ def ha_fit(train_windows, t_in, frequency):
         phase_mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     return HAModel(phase_mean, node_sum / node_count, frequency)
 
-
-def ha_baseline(train_windows, query_window, t_in, frequency):
-    """Historical-average prediction for one query window."""
-    return ha_fit(train_windows, t_in, frequency).predict(query_window)

@@ -39,7 +39,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.array(data, dtype=np.float64)
+        # C order, so an op that flattens leading dims (``linear``) takes a
+        # view rather than a second copy of a transposed input
+        self.data = np.array(data, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -60,42 +62,8 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar; the real work is in the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __truediv__(self, scalar):
-        return mul(self, 1.0 / float(scalar))
 
     def backward(self):
         """Backpropagate from this scalar through the recorded graph.
@@ -186,17 +154,6 @@ def add(a, b):
     return _from_op(data, (a, b), backward)
 
 
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data - b.data
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape), owned=a.data.shape != g.shape)
-        _accumulate(b, _unbroadcast(-g, b.data.shape), owned=True)
-
-    return _from_op(data, (a, b), backward)
-
-
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data * b.data
@@ -274,11 +231,6 @@ def tsum(t, axis=None, keepdims=False):
         _accumulate(t, np.broadcast_to(g, t.data.shape).copy(), owned=True)
 
     return _from_op(np.asarray(data), (t,), backward)
-
-
-def tmean(t):
-    t = _as_tensor(t)
-    return mul(tsum(t), 1.0 / t.data.size)
 
 
 def reshape(t, shape):

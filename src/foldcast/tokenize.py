@@ -3,9 +3,11 @@
 Temporal folding turns one sample window into one token per node by
 collapsing the node's T input steps into a single attribute vector; the
 spatial alternative (one token per time step, carrying all N node values)
-exists for the folding ablation. Fusion projects the folded attributes
-and concatenates the projection with spatial, time-of-day, and
-day-of-week embeddings into a 4d-wide token.
+exists for the folding ablation. Windows are stored node-major, so a
+batch of windows already is a (B, N, T) batch of temporally folded
+tokens and its (B, T, N) transpose the spatially folded ones. Fusion
+projects the folded attributes and concatenates the projection with
+spatial, time-of-day, and day-of-week embeddings into a 4d-wide token.
 """
 from __future__ import annotations
 
@@ -37,39 +39,13 @@ class EmbeddingTables:
         return self.wx.shape[1]
 
 
-def fold_temporal(window):
-    """N x T matrix of per-node folded attribute vectors.
-
-    Row n is node n's input sequence; windows already store inputs
-    node-major, so this is a pure (copying) reshape.
-    """
-    return np.array(window.input, dtype=np.float64)
-
-
-def unfold_temporal(tokens):
-    """Inverse of fold_temporal (bijection)."""
-    return np.array(tokens, dtype=np.float64)
-
-
-def fold_spatial_sf(window):
-    """T x N matrix of spatially-folded tokens, one per time step."""
-    return np.array(window.input.T, dtype=np.float64)
-
-
-def fuse_embeddings(tf_tokens, tables, tod_index, dow_index):
-    """Fuse one window's tokens into an N x 4d tensor.
-
-    The projection output, the per-node spatial row, and the single
-    tod/dow rows (broadcast to all nodes) are concatenated in that order,
-    so slices [2d, 3d) and [3d, 4d) are constant across nodes.
-    """
-    tokens = np.atleast_2d(np.asarray(tf_tokens, dtype=np.float64))
-    out = fuse_embeddings_batch(tokens[None], tables, np.array([tod_index]), np.array([dow_index]))
-    return T.reshape(out, out.shape[1:])
-
-
 def fuse_embeddings_batch(tokens, tables, tod_indices, dow_indices):
-    """Batched fusion: (B, N, T) tokens -> (B, N, 4d) tensor."""
+    """Batched fusion: (B, N, T) tokens -> (B, N, 4d) tensor.
+
+    The projection output, the per-node spatial row, and the sample's
+    tod/dow rows (broadcast to all nodes) are concatenated in that order,
+    so slices [2d, 3d) and [3d, 4d) are constant across a sample's nodes.
+    """
     b, n, _ = tokens.shape
     freq = tables.tod.shape[0]
     tod_indices = np.asarray(tod_indices)

@@ -143,8 +143,23 @@ class Forecaster:
 def effective_subgraph_size(n_nodes, mask_ratio, subgraph_size):
     """Clamp the configured s so one subgraph never outgrows the survivors
     (a profile tuned for a large network stays usable on a small one)."""
-    n_rem = n_nodes - int(np.floor(mask_ratio * n_nodes))
-    return max(1, min(subgraph_size, n_rem))
+    m, _, _ = V.geometry(n_nodes, mask_ratio, subgraph_size)
+    return max(1, min(subgraph_size, n_nodes - m))
+
+
+def sample_geometry(dims, config):
+    """(tokens, groups, group_size) one training sample puts through the
+    encoder: the K*s visible slots under node-level masking, all N nodes
+    in one group for the perturbation strategies, all T steps in one
+    group under SF."""
+    n = dims.n_nodes
+    if dims.folding == M.SF:
+        return dims.t_in, 1, dims.t_in
+    if config.mask_strategy != "node_level":
+        return n, 1, n
+    s = effective_subgraph_size(n, config.mask_ratio, config.subgraph_size)
+    _, _, k = V.geometry(n, config.mask_ratio, s)
+    return k * s, k, s
 
 
 def training_forward(forecaster, config, inputs, targets, tod, dow, plan_rng):
@@ -360,17 +375,13 @@ def snapshot_token_count(n_nodes, t_in):
 
 def visible_token_count(n_nodes, mask_ratio, subgraph_size):
     """Processed slots per sample after masking and padding: (1-r)N + p."""
-    m = int(np.floor(mask_ratio * n_nodes))
-    n_rem = n_nodes - m
-    p = (subgraph_size - (n_rem % subgraph_size)) % subgraph_size
-    return n_rem + p
+    _, _, k = V.geometry(n_nodes, mask_ratio, subgraph_size)
+    return k * subgraph_size
 
 
 def attention_pair_count(n_nodes, mask_ratio, subgraph_size):
     """Token pairs scored per sample: K * s^2 = ((1-r)N + p) * s."""
-    tokens = visible_token_count(n_nodes, mask_ratio, subgraph_size)
-    k = tokens // subgraph_size
-    return k * subgraph_size * subgraph_size
+    return visible_token_count(n_nodes, mask_ratio, subgraph_size) * subgraph_size
 
 
 def forward_flops_per_sample(dims, tokens, groups, group_size):
@@ -395,20 +406,9 @@ def estimate_epoch_seconds(dims, config, n_train, n_val):
     """Deterministic per-epoch cost estimate: forward+backward over the
     training windows plus a forward over the validation windows, at a
     fixed nominal FLOP rate."""
-    n = dims.n_nodes
-    if dims.folding == M.TFG and config.mask_strategy == "node_level":
-        s_eff = effective_subgraph_size(n, config.mask_ratio, config.subgraph_size)
-        tokens = visible_token_count(n, config.mask_ratio, s_eff)
-        groups = tokens // s_eff
-        train_fwd = forward_flops_per_sample(dims, tokens, groups, s_eff)
-    elif dims.folding == M.TFG:
-        train_fwd = forward_flops_per_sample(dims, n, 1, n)
-    else:
-        train_fwd = forward_flops_per_sample(dims, dims.t_in, 1, dims.t_in)
-    if dims.folding == M.TFG:
-        infer_fwd = forward_flops_per_sample(dims, n, 1, n)
-    else:
-        infer_fwd = forward_flops_per_sample(dims, dims.t_in, 1, dims.t_in)
+    train_fwd = forward_flops_per_sample(dims, *sample_geometry(dims, config))
+    seq = dims.n_nodes if dims.folding == M.TFG else dims.t_in
+    infer_fwd = forward_flops_per_sample(dims, seq, 1, seq)
     total = 3 * train_fwd * n_train + infer_fwd * n_val
     return total / NOMINAL_FLOPS_PER_SECOND
 
@@ -427,20 +427,15 @@ def activation_float_count(dims, config, batch_size):
     # fuse: input copy; projected and gathered parts, then their concat;
     # tod/dow indices (plus the node ids in TFG)
     total = b * seq * feat + 2 * b * seq * w + 2 * b * seq
+    tokens, groups, s = sample_geometry(dims, config)
+    tokens *= b
+    groups *= b
     if dims.folding == M.TFG:
         total += n
-    else:
-        total += b * seq * feat  # the transposed input's GEMM-order copy
-    if dims.folding == M.TFG and config.mask_strategy == "node_level":
-        s = effective_subgraph_size(n, config.mask_ratio, config.subgraph_size)
-        tokens = b * visible_token_count(n, config.mask_ratio, s)
-        total += 2 * tokens * w + 2 * tokens  # gathered rows, masked rows, indices, pad mask
-    else:
-        s = seq
-        tokens = b * seq
-        if dims.folding == M.TFG:
+        if config.mask_strategy == "node_level":
+            total += 2 * tokens * w + 2 * tokens  # gathered rows, masked rows, indices, pad mask
+        else:
             total += 4 * tokens * w  # keep and inject masks, masked rows, perturbed rows
-    groups = tokens // s
     per_layer = (
         2 * (2 * tokens * w + tokens)  # two layer norms: output, x-hat, 1/sigma
         + 3 * tokens * w  # qkv
@@ -461,8 +456,8 @@ def bench(config, series, grid, epochs=3):
     """Resource report over a (mask_ratio, subgraph_size) grid.
 
     Each grid point trains ``epochs`` epochs on the series and reports the
-    per-sample token count, parameter count, analytic activation floats,
-    and the minimum measured epoch wall time.
+    per-sample encoder token count (``sample_geometry``), parameter count,
+    analytic activation floats, and the minimum measured epoch wall time.
     """
     rows = []
     for r, s in grid:
@@ -475,13 +470,12 @@ def bench(config, series, grid, epochs=3):
         )
         result = train(cfg, series)
         dims = result.forecaster.dims
-        s_eff = effective_subgraph_size(dims.n_nodes, r, s)
         rows.append(
             [
                 f"r{r}_s{s}",
                 r,
                 s,
-                visible_token_count(dims.n_nodes, r, s_eff),
+                sample_geometry(dims, cfg)[0],
                 result.forecaster.params.param_count(),
                 activation_float_count(dims, cfg, cfg.batch_size),
                 min(result.wall_seconds),

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
 
 PAD = -1
 
@@ -51,6 +50,16 @@ class VisibilityPlan:
         return self.slots.size
 
 
+def geometry(n, r, s):
+    """(m, p, K) for N = ``n`` nodes at mask ratio ``r`` in groups of ``s``:
+    m = floor(rN) nodes masked, p pad slots so that the N - m survivors plus
+    the pads fill exactly K groups of s. ``s`` may exceed N - m; it is not
+    clamped."""
+    m = int(np.floor(r * n))
+    p = -(n - m) % s
+    return m, p, (n - m + p) // s
+
+
 def plan_visibility(n_nodes, mask_ratio, subgraph_size, rng):
     """Draw a fresh plan: uniform mask choice, uniform group assignment.
 
@@ -66,17 +75,14 @@ def plan_visibility(n_nodes, mask_ratio, subgraph_size, rng):
         raise ValueError(
             f"subgraph size {subgraph_size} exceeds node count {n_nodes}"
         )
-    m = int(np.floor(mask_ratio * n_nodes))
+    s = subgraph_size
+    m, p, k = geometry(n_nodes, mask_ratio, s)
     if m > 0:
         masked = np.sort(rng.choice(n_nodes, size=m, replace=False))
         kept = np.setdiff1d(np.arange(n_nodes), masked, assume_unique=True)
     else:
         masked = np.empty(0, dtype=np.int64)
         kept = np.arange(n_nodes)
-    n_rem = n_nodes - m
-    s = subgraph_size
-    p = (s - (n_rem % s)) % s
-    k = (n_rem + p) // s
     slotted = np.concatenate([kept, np.full(p, PAD, dtype=np.int64)])
     if not (m == 0 and s == n_nodes):
         slotted = rng.permutation(slotted)
@@ -90,28 +96,31 @@ def plan_visibility(n_nodes, mask_ratio, subgraph_size, rng):
     )
 
 
-def apply_visibility(fused, plan):
-    """Gather kept-node rows of an (N x 4d) tensor into (K x s x 4d) slots.
-
-    Padding slots carry exact-zero rows; masked nodes do not appear.
-    """
-    if fused.shape[0] != plan.n_nodes:
+def _stacked_slots(plans, batch, n_nodes):
+    """(B, K, s) slot ids of one plan per batch element, each drawn for
+    ``n_nodes`` nodes."""
+    if len(plans) != batch or any(p.n_nodes != n_nodes for p in plans):
         raise T.ShapeError(
-            f"plan built for {plan.n_nodes} nodes, tensor has {fused.shape[0]} rows"
+            f"need one plan per sample ({batch}), each built for {n_nodes} "
+            f"nodes; got {len(plans)} for {sorted({p.n_nodes for p in plans})}"
         )
-    safe = np.where(plan.slots == PAD, 0, plan.slots)
-    live = (plan.slots != PAD).astype(np.float64)[..., None]
-    return T.mul(T.gather_rows(fused, safe), live)
+    return np.stack([p.slots for p in plans])
+
+
+def apply_visibility(fused, plan):
+    """Single-sample apply_visibility_batch: (N x 4d) -> (K x s x 4d)."""
+    return apply_visibility_batch(T.reshape(fused, (1,) + tuple(fused.shape)), [plan])
 
 
 def apply_visibility_batch(fused, plans):
     """Batched gather: (B, N, 4d) tensor + B plans -> (B*K, s, 4d).
 
-    All plans must share (N, r, s) so K and s agree across the batch.
+    Padding slots carry exact-zero rows; masked nodes do not appear. All
+    plans must share (N, r, s) so K and s agree across the batch.
     """
     b, n, width = fused.shape
-    k, s = plans[0].slots.shape
-    slots = np.stack([p.slots for p in plans])  # (B, K, s)
+    slots = _stacked_slots(plans, b, n)
+    _, k, s = slots.shape
     flat = T.reshape(fused, (b * n, width))
     offsets = (np.arange(b) * n)[:, None, None]
     safe = np.where(slots == PAD, 0, slots) + offsets
@@ -151,48 +160,6 @@ def perturb_masked_batch(fused, plans, strategy, embed_dim, rng):
     return T.add(T.mul(fused, keep), inject)
 
 
-def perturb_masked(fused, plan, strategy, embed_dim, rng):
-    """Single-element wrapper over perturb_masked_batch."""
-    out = perturb_masked_batch(
-        T.reshape(fused, (1,) + tuple(fused.shape)), [plan], strategy, embed_dim, rng
-    )
-    return T.reshape(out, fused.shape)
-
-
-def masking_variant(fused, plan, strategy, embed_dim, rng):
-    """Dispatch over masking strategies for the ablation harness.
-
-    node_level removes rows (returning the ((1-r)N + p) x 4d slotted
-    tokens); the alternates keep all N rows and perturb in place.
-    """
-    if strategy == "node_level":
-        out = apply_visibility(fused, plan)
-        k, s = plan.slots.shape
-        return T.reshape(out, (k * s, fused.shape[-1]))
-    return perturb_masked(fused, plan, strategy, embed_dim, rng)
-
-
-def scatter_back(predictions, plan):
-    """Route per-slot predictions to original node positions.
-
-    Returns (N x T') values plus a boolean include mask; masked nodes and
-    pad slots are excluded (their rows are zero and flagged False).
-    """
-    flat_slots = plan.slots.reshape(-1)
-    pred = np.asarray(predictions.data if isinstance(predictions, Tensor) else predictions)
-    pred = pred.reshape(flat_slots.size, -1)
-    if pred.shape[0] != flat_slots.size:
-        raise T.ShapeError(
-            f"predictions cover {pred.shape[0]} slots, plan has {flat_slots.size}"
-        )
-    out = np.zeros((plan.n_nodes, pred.shape[1]))
-    include = np.zeros(plan.n_nodes, dtype=bool)
-    real = flat_slots != PAD
-    out[flat_slots[real]] = pred[real]
-    include[flat_slots[real]] = True
-    return out, include
-
-
 def gather_targets(targets, plans):
     """Targets and include mask aligned with apply_visibility_batch output.
 
@@ -200,8 +167,8 @@ def gather_targets(targets, plans):
     slots zeroed and excluded.
     """
     b, n, horizon = targets.shape
-    k, s = plans[0].slots.shape
-    slots = np.stack([p.slots for p in plans])
+    slots = _stacked_slots(plans, b, n)
+    _, k, s = slots.shape
     safe = np.where(slots == PAD, 0, slots)
     out = np.take_along_axis(
         targets[:, :, :], safe.reshape(b, k * s)[..., None], axis=1

@@ -87,7 +87,7 @@ class TestSynth:
         assert (a.frequency, a.start) == (b.frequency, b.start)
 
     def test_noiseless_signal_is_phase_deterministic(self, tmp_path):
-        from foldcast.data import ha_baseline, load_series, make_windows
+        from foldcast.data import ha_fit, load_series, make_windows
 
         path = tmp_path / "clean.txt"
         main(["synth", "--nodes", "3", "--days", "15", "--freq", "12",
@@ -98,7 +98,7 @@ class TestSynth:
         assert np.allclose(series.values[:week], series.values[week : 2 * week])
         # so the historical average nails it
         train_w, _, test_w = make_windows(series, 6, 3)
-        pred = ha_baseline(train_w, test_w[-1], 6, series.frequency)
+        pred = ha_fit(train_w, 6, series.frequency).predict(test_w[-1])
         assert np.max(np.abs(pred - test_w[-1].target)) < 1e-9
 
 

@@ -9,7 +9,6 @@ from foldcast.data import (
     TrafficSeries,
     apply_zscore,
     fit_normalizer,
-    ha_baseline,
     ha_fit,
     invert_zscore,
     load_series,
@@ -204,7 +203,7 @@ class TestHistoricalAverage:
     def test_constant_series_predicted_exactly(self):
         series = series_from(np.full((60, 2), 7.0), frequency=12)
         train, _, test = make_windows(series, 4, 2, (0.8, 0.0, 0.2))
-        pred = ha_baseline(train, test[0], 4, series.frequency)
+        pred = ha_fit(train, 4, series.frequency).predict(test[0])
         assert np.max(np.abs(pred - test[0].target)) < 1e-12
 
     def test_daily_sinusoid_mape_under_one_percent(self):

@@ -4,16 +4,10 @@ import pytest
 
 import foldcast.tensor as T
 from foldcast.data import SampleWindow
+from foldcast.model import SF
 from foldcast.tensor import Tensor
-from foldcast.tokenize import (
-    EmbeddingTables,
-    export_embeddings,
-    fold_spatial_sf,
-    fold_temporal,
-    fuse_embeddings,
-    fuse_embeddings_batch,
-    unfold_temporal,
-)
+from foldcast.tokenize import EmbeddingTables, export_embeddings, fuse_embeddings_batch
+from foldcast.train import Forecaster, TrainConfig
 
 
 def window(values_nt, tod=0, dow=0):
@@ -41,38 +35,66 @@ def make_tables(t_in, d, n, freq, rng=None, zero=False):
     )
 
 
+def identity_tables(t_in, n, freq):
+    """Tables whose attribute projection is the identity (d = T), so the
+    first d columns of a fused token are the folded token itself."""
+    tables = make_tables(t_in, t_in, n, freq, rng=np.random.default_rng(0))
+    tables.wx.data = np.eye(t_in)
+    tables.wx_b.data = np.zeros(t_in)
+    return tables
+
+
+def fold_batch(windows):
+    """Stacked windows: the (B, N, T) temporally folded token batch."""
+    return np.stack([w.input for w in windows])
+
+
+def sf_forecaster(n, t_in, embed_dim):
+    cfg = TrainConfig(t_in=t_in, horizon=2, embed_dim=embed_dim, ffn_dim=8, heads=1,
+                      folding=SF)
+    return Forecaster.build(cfg, n, 24, np.random.default_rng(0))
+
+
 class TestFolding:
     def test_single_node_token_is_its_sequence(self):
-        tokens = fold_temporal(window([[1.0, 2.0, 3.0]]))
-        assert np.array_equal(tokens, [[1.0, 2.0, 3.0]])
+        w = window([[1.0, 2.0, 3.0]])
+        out = fuse_embeddings_batch(fold_batch([w]), identity_tables(3, 1, 24), [0], [0])
+        assert np.array_equal(out.data[0, :, :3], [[1.0, 2.0, 3.0]])
 
     def test_fold_unfold_bijection(self):
         rng = np.random.default_rng(0)
-        values = rng.standard_normal((5, 7))
-        assert np.array_equal(unfold_temporal(fold_temporal(window(values))), values)
+        windows = [window(rng.standard_normal((5, 7))) for _ in range(3)]
+        out = fuse_embeddings_batch(fold_batch(windows), identity_tables(7, 5, 24),
+                                    [0, 1, 2], [0, 1, 2])
+        assert np.array_equal(out.data[..., :7], [w.input for w in windows])
 
     def test_sf_is_transpose(self):
-        tokens = fold_spatial_sf(window([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(tokens, [[1.0, 3.0], [2.0, 4.0]])
+        forecaster = sf_forecaster(n=2, t_in=2, embed_dim=2)
+        forecaster.params["embed.wx"].data = np.eye(2)
+        inputs = fold_batch([window([[1.0, 2.0], [3.0, 4.0]])])
+        out = forecaster.fuse(inputs, np.array([0]), np.array([0]))
+        assert np.array_equal(out.data[0, :, :2], [[1.0, 3.0], [2.0, 4.0]])
 
     def test_sf_token_count_is_time_steps(self):
-        tokens = fold_spatial_sf(window(np.zeros((307, 24))))
-        assert tokens.shape == (24, 307)
+        forecaster = sf_forecaster(n=307, t_in=24, embed_dim=4)
+        inputs = fold_batch([window(np.zeros((307, 24)))] * 2)
+        out = forecaster.fuse(inputs, np.array([0, 1]), np.array([0, 1]))
+        assert out.shape == (2, 24, 3 * 4)
 
 
 class TestFusion:
     def test_output_width_is_four_d(self):
         rng = np.random.default_rng(1)
         tables = make_tables(t_in=24, d=64, n=5, freq=288, rng=rng)
-        out = fuse_embeddings(np.zeros((5, 24)), tables, 0, 0)
-        assert out.shape == (5, 256)
+        out = fuse_embeddings_batch(np.zeros((2, 5, 24)), tables, [0, 1], [0, 1])
+        assert out.shape == (2, 5, 256)
 
     def test_identical_rows_differ_only_in_spatial_slice(self):
         rng = np.random.default_rng(2)
         d = 8
         tables = make_tables(t_in=4, d=d, n=3, freq=24, rng=rng)
-        tokens = np.tile(rng.standard_normal(4), (3, 1))  # all nodes identical
-        out = fuse_embeddings(tokens, tables, 5, 2).data
+        tokens = np.tile(rng.standard_normal(4), (1, 3, 1))  # all nodes identical
+        out = fuse_embeddings_batch(tokens, tables, [5], [2]).data[0]
         diff = np.abs(out[0] - out[1])
         assert np.all(diff[:d] == 0)
         assert np.any(diff[d : 2 * d] != 0)
@@ -82,22 +104,25 @@ class TestFusion:
         rng = np.random.default_rng(3)
         d = 6
         tables = make_tables(t_in=5, d=d, n=4, freq=12, rng=rng)
-        out = fuse_embeddings(rng.standard_normal((4, 5)), tables, 7, 3).data
+        out = fuse_embeddings_batch(rng.standard_normal((2, 4, 5)), tables, [7, 2], [3, 0]).data
         for slc in (slice(2 * d, 3 * d), slice(3 * d, 4 * d)):
-            assert np.all(out[:, slc] == out[0, slc])
+            for sample in out:
+                assert np.all(sample[:, slc] == sample[0, slc])
+            assert np.any(out[0, 0, slc] != out[1, 0, slc])
 
     def test_zero_tables_give_zero_output(self):
         tables = make_tables(t_in=3, d=4, n=2, freq=24, zero=True)
-        out = fuse_embeddings(np.random.default_rng(4).standard_normal((2, 3)), tables, 1, 1)
+        tokens = np.random.default_rng(4).standard_normal((2, 2, 3))
+        out = fuse_embeddings_batch(tokens, tables, [1, 2], [1, 2])
         assert np.all(out.data == 0)
 
     def test_index_out_of_range(self):
         rng = np.random.default_rng(5)
         tables = make_tables(t_in=3, d=4, n=2, freq=24, rng=rng)
         with pytest.raises(IndexError):
-            fuse_embeddings(np.zeros((2, 3)), tables, 24, 0)
+            fuse_embeddings_batch(np.zeros((2, 2, 3)), tables, [0, 24], [0, 0])
         with pytest.raises(IndexError):
-            fuse_embeddings(np.zeros((2, 3)), tables, 0, 7)
+            fuse_embeddings_batch(np.zeros((2, 2, 3)), tables, [0, 0], [7, 0])
 
     def test_gradient_reaches_all_four_tables(self):
         rng = np.random.default_rng(6)

@@ -230,6 +230,30 @@ class TestAccounting:
         assert effective_subgraph_size(20, 0.0, 50) == 20
         assert effective_subgraph_size(307, 0.2, 50) == 50
 
+    @pytest.mark.parametrize(
+        "overrides,tokens",
+        [
+            (dict(), 16),  # (1-r)N visible slots, s clamped to the 16 survivors
+            (dict(mask_strategy="all_zero"), 20),  # every node stays a token
+            (dict(folding="SF"), 12),  # one token per input step
+        ],
+        ids=["node_level", "all_zero", "sf"],
+    )
+    def test_bench_tokens_match_processed(self, monkeypatch, overrides, tokens):
+        results = []
+        real_train = TRAIN_MODULE.train
+
+        def spy(*args, **kwargs):
+            results.append(real_train(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(TRAIN_MODULE, "train", spy)
+        cfg = tiny_config(t_in=12, **overrides)
+        rows = TRAIN_MODULE.bench(cfg, sinusoid_series(n_nodes=20), [(0.2, 50)], epochs=1)
+        (result,) = results
+        assert rows[0][3] == tokens
+        assert rows[0][3] * len(result.windows[0]) == result.log_rows[-1][7]
+
 
 def _base(array):
     while isinstance(array.base, np.ndarray):
@@ -237,10 +261,10 @@ def _base(array):
     return array
 
 
-def retained_words(loss, params):
-    """8-byte elements a training graph keeps alive: every node's data plus
-    the arrays its backward closure holds, deduplicated by base array, with
-    the parameters left out."""
+def retained_arrays(loss, params):
+    """Arrays a training graph keeps alive: every node's data plus the
+    arrays its backward closure holds, deduplicated by base array, with the
+    parameters left out."""
     skip = {id(_base(t.data)) for t in params.tensors.values()}
     seen, stack, bases = {id(loss)}, [loss], {}
     while stack:
@@ -257,7 +281,12 @@ def retained_words(loss, params):
             if id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
-    return sum(b.nbytes for b in bases.values()) / 8
+    return list(bases.values())
+
+
+def retained_words(loss, params):
+    """8-byte elements of ``retained_arrays``."""
+    return sum(b.nbytes for b in retained_arrays(loss, params)) / 8
 
 
 class TestActivationCount:
@@ -283,6 +312,21 @@ class TestActivationCount:
         walked = retained_words(loss, forecaster.params)
         counted = activation_float_count(forecaster.dims, cfg, batch)
         assert abs(counted - walked) <= 0.1 * walked, (counted, walked)
+
+    def test_sf_graph_keeps_one_input_copy(self):
+        n, batch = 10, 4
+        cfg = tiny_config(folding="SF", embed_dim=8, ffn_dim=16, batch_size=batch)
+        rng = np.random.default_rng(0)
+        forecaster = Forecaster.build(cfg, n, 24, rng)
+        inputs = rng.normal(size=(batch, n, cfg.t_in))
+        targets = rng.normal(size=(batch, n, cfg.horizon))
+        loss, _ = training_forward(
+            forecaster, cfg, inputs, targets, np.zeros(batch, int), np.zeros(batch, int), rng
+        )
+        sf_tokens = inputs.transpose(0, 2, 1)
+        copies = [a for a in retained_arrays(loss, forecaster.params)
+                  if a.shape == sf_tokens.shape and np.array_equal(a, sf_tokens)]
+        assert len(copies) == 1
 
 
 def requires_grad_flags(forecaster):

@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 
 import foldcast.tensor as T
 from foldcast.tensor import Tensor
+from foldcast.train import attention_pair_count
 from foldcast.visibility import (
     PAD,
     apply_visibility,
     apply_visibility_batch,
     gather_targets,
-    masking_variant,
+    geometry,
+    perturb_masked_batch,
     plan_visibility,
-    scatter_back,
 )
 
 
@@ -127,6 +128,14 @@ class TestApply:
         with pytest.raises(T.ShapeError):
             apply_visibility(Tensor(np.zeros((6, 4))), plan)
 
+    def test_batched_plan_size_mismatch(self):
+        rng = np.random.default_rng(4)
+        plans = [plan_visibility(8, 0.2, 3, rng) for _ in range(2)]
+        with pytest.raises(T.ShapeError):
+            apply_visibility_batch(Tensor(np.zeros((2, 10, 4))), plans)
+        with pytest.raises(T.ShapeError):  # one plan for a batch of two
+            apply_visibility_batch(Tensor(np.zeros((2, 8, 4))), plans[:1])
+
     def test_gradient_skips_masked_nodes(self):
         rng = np.random.default_rng(5)
         fused = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
@@ -150,73 +159,98 @@ class TestMaskingVariants:
     def test_all_zero_blanks_attribute_slice(self):
         rng = np.random.default_rng(7)
         d = 3
-        fused = Tensor(rng.standard_normal((6, 4 * d)) + 10.0)
-        plan = plan_visibility(6, 0.5, 6, rng)
-        out = masking_variant(fused, plan, "all_zero", d, rng)
-        assert out.shape == (6, 4 * d)
-        assert np.all(out.data[plan.masked, :d] == 0)
-        assert np.array_equal(out.data[plan.kept], fused.data[plan.kept])
-        assert np.array_equal(out.data[plan.masked, d:], fused.data[plan.masked, d:])
+        fused = Tensor(rng.standard_normal((2, 6, 4 * d)) + 10.0)
+        plans = [plan_visibility(6, 0.5, 6, rng) for _ in range(2)]
+        out = perturb_masked_batch(fused, plans, "all_zero", d, rng)
+        assert out.shape == (2, 6, 4 * d)
+        for i, plan in enumerate(plans):
+            assert np.all(out.data[i, plan.masked, :d] == 0)
+            assert np.array_equal(out.data[i, plan.kept], fused.data[i, plan.kept])
+            assert np.array_equal(out.data[i, plan.masked, d:], fused.data[i, plan.masked, d:])
 
     def test_partial_zero_blanks_subset(self):
         rng = np.random.default_rng(8)
         d = 16
-        fused = Tensor(np.ones((8, 4 * d)))
+        fused = Tensor(np.ones((1, 8, 4 * d)))
         plan = plan_visibility(8, 0.5, 8, rng)
-        out = masking_variant(fused, plan, "partial_zero", d, rng)
-        block = out.data[plan.masked, :d]
+        out = perturb_masked_batch(fused, [plan], "partial_zero", d, rng)
+        block = out.data[0, plan.masked, :d]
         assert 0 < (block == 0).sum() < block.size
 
     def test_random_value_replaces_attributes(self):
         rng = np.random.default_rng(9)
         d = 4
-        fused = Tensor(np.full((6, 4 * d), 5.0))
-        plan = plan_visibility(6, 0.5, 6, rng)
-        out = masking_variant(fused, plan, "random_value", d, rng)
-        assert np.all(out.data[plan.masked, :d] != 5.0)
-        assert np.array_equal(out.data[plan.kept], fused.data[plan.kept])
+        fused = Tensor(np.full((2, 6, 4 * d), 5.0))
+        plans = [plan_visibility(6, 0.5, 6, rng) for _ in range(2)]
+        out = perturb_masked_batch(fused, plans, "random_value", d, rng)
+        for i, plan in enumerate(plans):
+            assert np.all(out.data[i, plan.masked, :d] != 5.0)
+            assert np.array_equal(out.data[i, plan.kept], fused.data[i, plan.kept])
 
     def test_node_level_row_count(self):
         rng = np.random.default_rng(10)
-        fused = Tensor(rng.standard_normal((10, 8)))
-        plan = plan_visibility(10, 0.3, 4, rng)
-        out = masking_variant(fused, plan, "node_level", 2, rng)
-        assert out.shape[0] == plan.visible_count
-        assert out.shape[0] < 10
+        fused = Tensor(rng.standard_normal((2, 10, 8)))
+        plans = [plan_visibility(10, 0.3, 4, rng) for _ in range(2)]
+        out = apply_visibility_batch(fused, plans)
+        assert out.shape[0] * out.shape[1] == 2 * plans[0].visible_count
+        assert plans[0].visible_count < 10
 
     def test_unknown_strategy(self):
         rng = np.random.default_rng(11)
         plan = plan_visibility(4, 0.0, 4, rng)
         with pytest.raises(ValueError):
-            masking_variant(Tensor(np.zeros((4, 8))), plan, "typo", 2, rng)
+            perturb_masked_batch(Tensor(np.zeros((1, 4, 8))), [plan], "typo", 2, rng)
+
+
+def scatter(slot_values, plans, n):
+    """Test oracle: route (B*K, s, F) slot values back to (B, N, F) node
+    rows by the plans' slot ids; also returns which nodes received one."""
+    b = len(plans)
+    slot_values = np.asarray(slot_values).reshape(b, -1, slot_values.shape[-1])
+    out = np.zeros((b, n, slot_values.shape[-1]))
+    include = np.zeros((b, n), dtype=bool)
+    for i, plan in enumerate(plans):
+        flat = plan.slots.reshape(-1)
+        real = flat != PAD
+        out[i, flat[real]] = slot_values[i, real]
+        include[i, flat[real]] = True
+    return out, include
 
 
 class TestScatterBack:
+    """The batched gather is invertible: scattering its slots back by the
+    plans' slot ids recovers every kept node's row bit for bit."""
+
     def test_full_visibility_round_trip_bitwise(self):
         rng = np.random.default_rng(12)
-        fused = rng.standard_normal((6, 4))
-        plan = plan_visibility(6, 0.0, 6, rng)
-        gathered = apply_visibility(Tensor(fused), plan)
-        back, include = scatter_back(gathered.data, plan)
+        fused = rng.standard_normal((2, 6, 4))
+        plans = [plan_visibility(6, 0.0, 6, rng) for _ in range(2)]
+        gathered = apply_visibility_batch(Tensor(fused), plans)
+        back, include = scatter(gathered.data, plans, 6)
         assert np.array_equal(back, fused)
         assert include.all()
+        targets, target_include = gather_targets(fused, plans)
+        assert np.array_equal(targets, gathered.data) and target_include.all()
 
     def test_masked_rows_excluded(self):
         rng = np.random.default_rng(13)
-        plan = plan_visibility(9, 0.4, 2, rng)
-        preds = rng.standard_normal((plan.subgraph_count, plan.subgraph_size, 5))
-        back, include = scatter_back(preds, plan)
-        assert (~include).sum() == len(plan.masked)
-        assert np.all(back[plan.masked] == 0)
+        plans = [plan_visibility(9, 0.4, 2, rng) for _ in range(2)]
+        targets, include = gather_targets(rng.standard_normal((2, 9, 5)), plans)
+        back, reached = scatter(targets, plans, 9)
+        for i, plan in enumerate(plans):
+            assert (~reached[i]).sum() == len(plan.masked)
+            assert np.all(back[i, plan.masked] == 0)
+        assert include.sum() == 2 * (9 - len(plans[0].masked))
 
     def test_kept_values_preserved_bitwise(self):
         rng = np.random.default_rng(14)
-        fused = rng.standard_normal((8, 3))
-        plan = plan_visibility(8, 0.25, 3, rng)
-        gathered = apply_visibility(Tensor(fused), plan)
-        back, include = scatter_back(gathered.data, plan)
-        assert np.array_equal(back[plan.kept], fused[plan.kept])
-        assert np.array_equal(include, np.isin(np.arange(8), plan.kept))
+        fused = rng.standard_normal((2, 8, 3))
+        plans = [plan_visibility(8, 0.25, 3, rng) for _ in range(2)]
+        gathered = apply_visibility_batch(Tensor(fused), plans)
+        back, include = scatter(gathered.data, plans, 8)
+        for i, plan in enumerate(plans):
+            assert np.array_equal(back[i, plan.kept], fused[i, plan.kept])
+            assert np.array_equal(include[i], np.isin(np.arange(8), plan.kept))
 
 
 class TestGatherTargets:
@@ -238,3 +272,29 @@ class TestGatherTargets:
                     else:
                         assert include[b * k + g, slot]
                         assert np.array_equal(row, targets[b, node])
+
+    def test_plan_size_mismatch(self):
+        rng = np.random.default_rng(16)
+        plans = [plan_visibility(8, 0.2, 3, rng) for _ in range(2)]
+        with pytest.raises(T.ShapeError):
+            gather_targets(np.zeros((2, 10, 4)), plans)
+        with pytest.raises(T.ShapeError):
+            gather_targets(np.zeros((2, 8, 4)), plans[:1])
+
+
+class TestGeometry:
+    # (N, r, s): uneven pads, s in (N - m, N] as the perturbation strategies
+    # draw it, the r=0 s=N pass-through, s=1, and the PEMS04 profile
+    GRID = [
+        (7, 0.0, 3), (10, 0.3, 4), (20, 0.2, 16), (20, 0.2, 18), (20, 0.2, 20),
+        (9, 0.5, 9), (8, 0.0, 8), (5, 0.0, 1), (5, 0.6, 1), (307, 0.2, 50),
+        (170, 0.2, 30), (1, 0.0, 1),
+    ]
+
+    @pytest.mark.parametrize("n,r,s", GRID)
+    def test_drawn_plan_matches_geometry(self, n, r, s):
+        m, p, k = geometry(n, r, s)
+        plan = plan_visibility(n, r, s, np.random.default_rng(n))
+        assert plan.slots.shape == (k, s)
+        assert (len(plan.masked), plan.pad_count) == (m, p)
+        assert attention_pair_count(n, r, s) == k * s * s
