@@ -2,7 +2,8 @@
 
 Layout: one version byte, then a manifest (entry count, and per entry the
 name, rank, and dimensions), then the raw little-endian float64 arrays in
-manifest order.
+manifest order. The file is written beside its final path and renamed
+into place, so an interrupted save leaves the previous checkpoint intact.
 """
 from __future__ import annotations
 
@@ -11,12 +12,13 @@ import struct
 import numpy as np
 
 from .errors import CheckpointError
+from .fileio import atomic_open
 
 VERSION = 1
 
 
 def save_checkpoint(params, path):
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(bytes([VERSION]))
         fh.write(struct.pack("<I", len(params.tensors)))
         for name, t in params.items():

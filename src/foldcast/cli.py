@@ -18,6 +18,7 @@ from . import config as C
 from .checkpoint import load_into, save_checkpoint
 from .data import apply_zscore, fit_normalizer, load_series, make_windows, save_series
 from .errors import CheckpointError, ConfigError, DataError, DivergenceError
+from .fileio import atomic_open
 from .metrics import MAPE_FLOOR, MetricAccumulator
 from .synth import generate_series
 from .tokenize import export_embeddings
@@ -124,7 +125,7 @@ def _resolve(args, require_dataset=True, snapshot_dir=None):
 
 
 def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -179,7 +180,7 @@ def cmd_eval(args):
     overall = evaluate(forecaster, chosen, stats, per_horizon=per_horizon)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"eval_{args.split}.csv")
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(out_path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["horizon_step", "rmse", "mae", "mape"])
         writer.writerow(["all"] + [_fmt(v) for v in overall.row()])

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .fileio import atomic_open
 
 SECONDS_PER_DAY = 86400
 BINARY_MAGIC = b"STSF1"
@@ -158,13 +159,13 @@ def _load_binary(path):
 
 def save_series(series, path, format="text"):
     if format == "text":
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, encoding="utf-8") as fh:
             fh.write(f"N={series.node_count} FREQ={series.frequency} START={series.start}\n")
             for row in series.values:
                 fh.write(",".join(repr(float(v)) for v in row))
                 fh.write("\n")
     elif format == "binary":
-        with open(path, "wb") as fh:
+        with atomic_open(path, "wb") as fh:
             fh.write(BINARY_MAGIC)
             fh.write(struct.pack("<QQQ", series.step_count, series.node_count, series.frequency))
             fh.write(struct.pack("<q", series.start))

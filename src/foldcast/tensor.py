@@ -1,21 +1,27 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every array the forecaster touches is a :class:`Tensor`: a numpy float64
-buffer plus, when gradients are required, a record of the parent tensors
-and the closure that pushes an output gradient back to them. Calling
-``backward()`` on a scalar walks that record once in reverse topological
-order. Evaluation is single-threaded and tensors are treated as immutable
-after creation (the optimizer step on parameters is the one sanctioned
-exception), so repeated forward passes over identical inputs are
-bit-identical.
+buffer plus, when gradients are required, a small grad node. The node
+holds the gradient flowing into the tensor, the nodes of the parents that
+need one, and the closure that pushes an output gradient back to them.
+The tape links nodes, not tensors: each closure keeps only the arrays its
+backward reads, and an op keeps nothing for (and computes no gradient
+for) a parent that needs no gradient. So an op output that no backward
+reads, such as a residual sum, is freed as soon as the forward drops it.
+Calling ``backward()`` on a scalar walks the nodes once in reverse
+topological order. Evaluation is single-threaded and tensors are treated
+as immutable after creation (the optimizer step on parameters is the one
+sanctioned exception), so repeated forward passes over identical inputs
+are bit-identical.
 
 Two fused ops keep the tape short: ``linear`` (x @ w + b as one node) and
 ``attention`` (multi-head softmax(QK^T/sqrt(hd))V over a packed qkv tensor,
 with a hand-written backward). A gradient an op freshly allocates becomes
-the receiving tensor's ``.grad`` without a copy. After ``backward()`` only
+the receiving node's gradient without a copy. After ``backward()`` only
 leaf tensors keep ``.grad``; every interior node's is released as soon as
 its closure has run, so calling ``backward()`` again on the same graph adds
-exactly one more gradient to each leaf.
+exactly one more gradient to each leaf. ``Tensor(data)`` copies ``data``;
+an op wraps a raw float64, C-ordered array operand without a copy.
 """
 from __future__ import annotations
 
@@ -35,17 +41,49 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
+class _Node:
+    """One tape entry. A leaf's node has no parents and no closure."""
+
+    __slots__ = ("requires_grad", "grad", "parents", "backward")
+
+    def __init__(self, requires_grad, parents=(), backward=None):
+        self.requires_grad = requires_grad
+        self.grad = None
+        self.parents = parents
+        self.backward = backward
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad=False):
         # C order, so an op that flattens leading dims (``linear``) takes a
         # view rather than a second copy of a transposed input
         self.data = np.array(data, dtype=np.float64, order="C")
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._parents = ()
-        self._backward = None
+        self._node = _Node(bool(requires_grad))
+
+    def _leaf_node(self):
+        # an op output that recorded nothing becomes a leaf when a flag or
+        # a gradient is set on it
+        if self._node is None:
+            self._node = _Node(False)
+        return self._node
+
+    @property
+    def requires_grad(self):
+        return self._node is not None and self._node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag):
+        self._leaf_node().requires_grad = bool(flag)
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self._leaf_node().grad = g
 
     @property
     def shape(self):
@@ -73,62 +111,70 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.data.shape}")
+        root = self._leaf_node()
         order = []
-        visited = {id(self)}
-        stack = [(self, False)]
+        visited = {id(root)}
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
                 continue
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in visited:
                     visited.add(id(p))
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node.backward is not None and node.grad is not None:
+                node.backward(node.grad)
                 node.grad = None  # interior: free it now; leaves keep theirs
 
 
 def _as_tensor(x):
+    """``x`` itself if a Tensor; else a constant wrapping it, copied only
+    when it is not already a float64, C-ordered array."""
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=np.float64))
+    t = Tensor.__new__(Tensor)
+    t.data = np.asarray(x, dtype=np.float64, order="C")
+    t._node = None
+    return t
 
 
-def _from_op(data, parents, backward):
+def _grad_node(t):
+    """The node ``t``'s gradient flows into, or None when it needs none."""
+    node = t._node
+    return node if node is not None and node.requires_grad else None
+
+
+def _from_op(data, nodes, backward):
+    """Wrap an op's output. ``nodes`` are its operands' ``_grad_node``s;
+    the closure is recorded only when one of them needs a gradient."""
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._backward = backward
-    else:
-        out._parents = ()
-        out._backward = None
+    parents = tuple(n for n in nodes if n is not None)
+    out._node = _Node(True, parents, backward) if parents else None
     if _DEBUG_CHECKS and not np.all(np.isfinite(data)):
         raise FloatingPointError("non-finite value produced by tensor op")
     return out
 
 
-def _accumulate(t, g, owned=False):
-    """Add ``g`` into ``t.grad``.
+def _accumulate(node, g, owned=False):
+    """Add ``g`` into ``node.grad``.
 
     ``owned`` says the calling op allocated ``g`` afresh and hands it to
-    no other tensor, so a first gradient is taken over without a copy.
+    no other node, so a first gradient is taken over without a copy.
     Anything else (a view, a broadcast, an array shared between parents)
-    is copied before ``t.grad`` may be updated in place.
+    is copied before ``node.grad`` may be updated in place.
     """
-    if not t.requires_grad:
+    if not node.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g if owned and isinstance(g, np.ndarray) else np.array(g)
+    if node.grad is None:
+        node.grad = g if owned and isinstance(g, np.ndarray) else np.array(g)
     else:
-        t.grad += g
+        node.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -144,25 +190,36 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
+    na, nb = _grad_node(a), _grad_node(b)
     data = a.data + b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
         # without broadcasting both parents would see the same ``g``
-        _accumulate(a, _unbroadcast(g, a.data.shape), owned=a.data.shape != g.shape)
-        _accumulate(b, _unbroadcast(g, b.data.shape), owned=b.data.shape != g.shape)
+        if na is not None:
+            _accumulate(na, _unbroadcast(g, a_shape), owned=a_shape != g.shape)
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g, b_shape), owned=b_shape != g.shape)
 
-    return _from_op(data, (a, b), backward)
+    return _from_op(data, (na, nb), backward)
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
+    na, nb = _grad_node(a), _grad_node(b)
     data = a.data * b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
+    # each operand is kept only for the other one's gradient
+    a_data = a.data if nb is not None else None
+    b_data = b.data if na is not None else None
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
+        if na is not None:
+            _accumulate(na, _unbroadcast(g * b_data, a_shape), owned=True)
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g * a_data, b_shape), owned=True)
 
-    return _from_op(data, (a, b), backward)
+    return _from_op(data, (na, nb), backward)
 
 
 def matmul(a, b):
@@ -172,27 +229,36 @@ def matmul(a, b):
         raise ShapeError(f"matmul needs ndim >= 2 operands, got {a.shape} @ {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    na, nb = _grad_node(a), _grad_node(b)
+    a_shape, b_shape = a.data.shape, b.data.shape
+    b_data = b.data if na is not None else None
 
     if b.ndim == 2 and a.ndim > 2:
         # flatten leading dims: one 2-D GEMM beats many strided batched ones
-        k, n = b.data.shape
+        k, n = b_shape
         a2 = np.ascontiguousarray(a.data).reshape(-1, k)
-        data = (a2 @ b.data).reshape(a.data.shape[:-1] + (n,))
+        data = (a2 @ b.data).reshape(a_shape[:-1] + (n,))
+        a_rows = a2 if nb is not None else None
 
         def backward(g):
             g2 = g.reshape(-1, n)
-            _accumulate(a, (g2 @ b.data.T).reshape(a.data.shape), owned=True)
-            _accumulate(b, a2.T @ g2, owned=True)
+            if na is not None:
+                _accumulate(na, (g2 @ b_data.T).reshape(a_shape), owned=True)
+            if nb is not None:
+                _accumulate(nb, a_rows.T @ g2, owned=True)
 
-        return _from_op(data, (a, b), backward)
+        return _from_op(data, (na, nb), backward)
 
     data = a.data @ b.data
+    a_data = a.data if nb is not None else None
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape), owned=True)
-        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape), owned=True)
+        if na is not None:
+            _accumulate(na, _unbroadcast(g @ b_data.swapaxes(-1, -2), a_shape), owned=True)
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(a_data.swapaxes(-1, -2) @ g, b_shape), owned=True)
 
-    return _from_op(data, (a, b), backward)
+    return _from_op(data, (na, nb), backward)
 
 
 def linear(x, w, b):
@@ -207,51 +273,63 @@ def linear(x, w, b):
     k, n = w.data.shape
     if x.data.shape[-1] != k or b.data.shape != (n,):
         raise ShapeError(f"linear shapes disagree: {x.shape} @ {w.shape} + {b.shape}")
+    nx, nw, nb = _grad_node(x), _grad_node(w), _grad_node(b)
+    x_shape = x.data.shape
     x2 = x.data if x.ndim == 2 else np.ascontiguousarray(x.data).reshape(-1, k)
     data = x2 @ w.data
     data += b.data
-    data = data.reshape(x.data.shape[:-1] + (n,))
+    data = data.reshape(x_shape[:-1] + (n,))
+    w_data = w.data if nx is not None else None
+    x_rows = x2 if nw is not None else None
 
     def backward(g):
         g2 = g.reshape(-1, n)
-        _accumulate(x, (g2 @ w.data.T).reshape(x.data.shape), owned=True)
-        _accumulate(w, x2.T @ g2, owned=True)
-        _accumulate(b, g.sum(axis=tuple(range(g.ndim - 1))), owned=True)
+        if nx is not None:
+            _accumulate(nx, (g2 @ w_data.T).reshape(x_shape), owned=True)
+        if nw is not None:
+            _accumulate(nw, x_rows.T @ g2, owned=True)
+        if nb is not None:
+            _accumulate(nb, g.sum(axis=tuple(range(g.ndim - 1))), owned=True)
 
-    return _from_op(data, (x, w, b), backward)
+    return _from_op(data, (nx, nw, nb), backward)
 
 
 def tsum(t, axis=None, keepdims=False):
     t = _as_tensor(t)
+    node = _grad_node(t)
+    shape = t.data.shape
     data = t.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(t, np.broadcast_to(g, t.data.shape).copy(), owned=True)
+        _accumulate(node, np.broadcast_to(g, shape).copy(), owned=True)
 
-    return _from_op(np.asarray(data), (t,), backward)
+    return _from_op(np.asarray(data), (node,), backward)
 
 
 def reshape(t, shape):
     t = _as_tensor(t)
+    node = _grad_node(t)
+    in_shape = t.data.shape
     data = t.data.reshape(shape)
 
     def backward(g):
-        _accumulate(t, g.reshape(t.data.shape))
+        _accumulate(node, g.reshape(in_shape))
 
-    return _from_op(data, (t,), backward)
+    return _from_op(data, (node,), backward)
 
 
 def transpose(t, axes):
     t = _as_tensor(t)
+    node = _grad_node(t)
     data = np.transpose(t.data, axes).copy()
     inverse = np.argsort(axes)
 
     def backward(g):
-        _accumulate(t, np.transpose(g, inverse))
+        _accumulate(node, np.transpose(g, inverse))
 
-    return _from_op(data, (t,), backward)
+    return _from_op(data, (node,), backward)
 
 
 def concat_lastdim(parts):
@@ -267,24 +345,28 @@ def concat_lastdim(parts):
             )
     data = np.concatenate([p.data for p in parts], axis=-1)
     offsets = np.cumsum([0] + [p.data.shape[-1] for p in parts])
+    nodes = [_grad_node(p) for p in parts]
 
     def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[..., lo:hi])
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if node is not None:
+                _accumulate(node, g[..., lo:hi])
 
-    return _from_op(data, tuple(parts), backward)
+    return _from_op(data, nodes, backward)
 
 
 def slice_lastdim(t, start, stop):
     t = _as_tensor(t)
+    node = _grad_node(t)
+    shape = t.data.shape
     data = t.data[..., start:stop].copy()
 
     def backward(g):
-        full = np.zeros_like(t.data)
+        full = np.zeros(shape)
         full[..., start:stop] = g
-        _accumulate(t, full, owned=True)
+        _accumulate(node, full, owned=True)
 
-    return _from_op(data, (t,), backward)
+    return _from_op(data, (node,), backward)
 
 
 def gather_rows(t, index):
@@ -298,28 +380,31 @@ def gather_rows(t, index):
     index = np.asarray(index)
     if index.size and (index.min() < 0 or index.max() >= t.data.shape[0]):
         raise IndexError(f"gather_rows index out of range for {t.data.shape[0]} rows")
+    node = _grad_node(t)
+    shape = t.data.shape
     data = t.data[index]
 
     def backward(g):
-        full = np.zeros_like(t.data)
+        full = np.zeros(shape)
         np.add.at(full, index, g)
-        _accumulate(t, full, owned=True)
+        _accumulate(node, full, owned=True)
 
-    return _from_op(data, (t,), backward)
+    return _from_op(data, (node,), backward)
 
 
 def softmax_lastdim(x):
     """Numerically stabilized softmax over the last dimension."""
     x = _as_tensor(x)
+    node = _grad_node(x)
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
         inner = (g * data).sum(axis=-1, keepdims=True)
-        _accumulate(x, (g - inner) * data, owned=True)
+        _accumulate(node, (g - inner) * data, owned=True)
 
-    return _from_op(data, (x,), backward)
+    return _from_op(data, (node,), backward)
 
 
 def attention(qkv, heads):
@@ -333,6 +418,7 @@ def attention(qkv, heads):
     qkv = _as_tensor(qkv)
     if qkv.ndim != 3 or qkv.data.shape[-1] % (3 * heads):
         raise ShapeError(f"attention needs (groups, s, 3 * heads * hd), got {qkv.shape}")
+    node = _grad_node(qkv)
     groups, s, three_w = qkv.data.shape
     width = three_w // 3
     head_dim = width // heads
@@ -358,9 +444,9 @@ def attention(qkv, heads):
         np.matmul(dp, kt.swapaxes(-1, -2), out=d[0])
         d[1] = (q.swapaxes(-1, -2) @ dp).swapaxes(-1, -2)
         dqkv = d.transpose(1, 3, 0, 2, 4).reshape(groups, s, three_w)
-        _accumulate(qkv, dqkv, owned=True)
+        _accumulate(node, dqkv, owned=True)
 
-    return _from_op(data, (qkv,), backward)
+    return _from_op(data, (node,), backward)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -373,25 +459,30 @@ def layer_norm(x, gamma, beta, eps=1e-5):
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} "
             f"do not match last dim {n}"
         )
+    nx, ng, nb = _grad_node(x), _grad_node(gamma), _grad_node(beta)
     mu = x.data.mean(axis=-1, keepdims=True)
     var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     data = xhat * gamma.data + beta.data
+    gamma_data = gamma.data if nx is not None else None
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        _accumulate(beta, g.sum(axis=lead), owned=True)
-        _accumulate(gamma, (g * xhat).sum(axis=lead), owned=True)
-        dxhat = g * gamma.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        _accumulate(x, dx, owned=True)
+        if nb is not None:
+            _accumulate(nb, g.sum(axis=lead), owned=True)
+        if ng is not None:
+            _accumulate(ng, (g * xhat).sum(axis=lead), owned=True)
+        if nx is not None:
+            dxhat = g * gamma_data
+            dx = inv * (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            )
+            _accumulate(nx, dx, owned=True)
 
-    return _from_op(data, (x, gamma, beta), backward)
+    return _from_op(data, (nx, ng, nb), backward)
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -401,24 +492,26 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 def gelu(x):
     """Exact-erf GELU: x * Phi(x). Temporaries are updated in place."""
     x = _as_tensor(x)
-    cdf = np.multiply(x.data, _INV_SQRT2, out=np.empty_like(x.data))
+    node = _grad_node(x)
+    x_data = x.data
+    cdf = np.multiply(x_data, _INV_SQRT2, out=np.empty_like(x_data))
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    data = x.data * cdf
+    data = x_data * cdf
 
     def backward(g):
         # g * (cdf + x * pdf) with pdf = exp(-x^2 / 2) / sqrt(2 pi)
-        dx = np.multiply(x.data, -0.5, out=np.empty_like(x.data))
-        dx *= x.data
+        dx = np.multiply(x_data, -0.5, out=np.empty_like(x_data))
+        dx *= x_data
         np.exp(dx, out=dx)
         dx *= _INV_SQRT2PI
-        dx *= x.data
+        dx *= x_data
         dx += cdf
         dx *= g
-        _accumulate(x, dx, owned=True)
+        _accumulate(node, dx, owned=True)
 
-    return _from_op(data, (x,), backward)
+    return _from_op(data, (node,), backward)
 
 
 def huber_loss(pred, target, delta, include=None):
@@ -435,6 +528,7 @@ def huber_loss(pred, target, delta, include=None):
         raise ValueError(f"huber delta must be positive, got {delta}")
     if target.shape != pred.data.shape:
         raise ShapeError(f"huber shapes disagree: {pred.shape} vs {target.shape}")
+    node = _grad_node(pred)
     if include is None:
         inc = np.ones_like(pred.data, dtype=bool)
     else:
@@ -448,9 +542,9 @@ def huber_loss(pred, target, delta, include=None):
     data = np.asarray((per * inc).sum() / count)
 
     def backward(g):
-        _accumulate(pred, g * inc * np.clip(err, -delta, delta) / count, owned=True)
+        _accumulate(node, g * inc * np.clip(err, -delta, delta) / count, owned=True)
 
-    return _from_op(data, (pred,), backward)
+    return _from_op(data, (node,), backward)
 
 
 class AdamState:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .fileio import atomic_open
 from .tensor import Tensor
 
 
@@ -54,7 +55,7 @@ def fuse_embeddings_batch(tokens, tables, tod_indices, dow_indices):
         raise IndexError(f"tod index out of range [0, {freq})")
     if dow_indices.min() < 0 or dow_indices.max() >= 7:
         raise IndexError("dow index out of range [0, 7)")
-    e_x = T.linear(Tensor(tokens), tables.wx, tables.wx_b)
+    e_x = T.linear(tokens, tables.wx, tables.wx_b)
     node_ids = np.broadcast_to(np.arange(n), (b, n))
     e_s = T.gather_rows(tables.spatial, node_ids)
     e_tod = T.gather_rows(tables.tod, np.repeat(tod_indices[:, None], n, axis=1))
@@ -70,7 +71,7 @@ def fuse_embeddings_sf_batch(tokens, tables, tod_indices, dow_indices):
     still appended.
     """
     b, steps, _ = tokens.shape
-    e_x = T.linear(Tensor(tokens), tables.wx, tables.wx_b)
+    e_x = T.linear(tokens, tables.wx, tables.wx_b)
     e_tod = T.gather_rows(tables.tod, np.repeat(np.asarray(tod_indices)[:, None], steps, axis=1))
     e_dow = T.gather_rows(tables.dow, np.repeat(np.asarray(dow_indices)[:, None], steps, axis=1))
     return T.concat_lastdim([e_x, e_tod, e_dow])
@@ -80,7 +81,7 @@ def export_embeddings(tables, path):
     """Write the spatial/tod/dow tables as CSV for offline projection
     (e.g. t-SNE): header ``table,index,dim0..dim{d-1}``, one row per entry."""
     d = tables.dim
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["table", "index"] + [f"dim{i}" for i in range(d)])
         for name, tbl in (("spatial", tables.spatial), ("tod", tables.tod), ("dow", tables.dow)):

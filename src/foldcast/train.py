@@ -415,41 +415,42 @@ def estimate_epoch_seconds(dims, config, n_train, n_val):
 
 def activation_float_count(dims, config, batch_size):
     """8-byte elements one training step's graph retains until it is
-    released: each node's output plus the arrays its backward closure keeps,
-    int64 gather indices included, parameters and boolean masks left out.
-    Counted op by op from ``tensor.py``; an analytic stand-in for the step's
-    allocator peak (the backward pass allocates gradients on top)."""
+    released: the arrays its backward closures keep, int64 gather indices
+    included, parameters and boolean masks left out. An op output that no
+    backward reads (a residual sum, the fused tokens, the qkv projection)
+    is freed during the forward and not counted. Counted op by op from
+    ``tensor.py``; an analytic stand-in for the step's allocator peak (the
+    backward pass allocates gradients on top)."""
     n = dims.n_nodes
     w = dims.width
     f = dims.ffn_dim
     b = batch_size
     seq, feat = (n, dims.t_in) if dims.folding == M.TFG else (dims.t_in, n)
-    # fuse: input copy; projected and gathered parts, then their concat;
-    # tod/dow indices (plus the node ids in TFG)
-    total = b * seq * feat + 2 * b * seq * w + 2 * b * seq
+    # fuse: the projection's input rows and the tod/dow indices (plus the
+    # node ids in TFG)
+    total = b * seq * feat + 2 * b * seq
     tokens, groups, s = sample_geometry(dims, config)
     tokens *= b
     groups *= b
     if dims.folding == M.TFG:
         total += n
         if config.mask_strategy == "node_level":
-            total += 2 * tokens * w + 2 * tokens  # gathered rows, masked rows, indices, pad mask
+            total += 2 * tokens  # gather indices, pad mask
         else:
-            total += 4 * tokens * w  # keep and inject masks, masked rows, perturbed rows
+            total += tokens * w  # keep mask
     per_layer = (
-        2 * (2 * tokens * w + tokens)  # two layer norms: output, x-hat, 1/sigma
-        + 3 * tokens * w  # qkv
-        + 5 * tokens * w  # attention: q/k/v copy, k^T, context
+        2 * (tokens * w + tokens)  # two layer norms: x-hat, 1/sigma
+        + 3 * tokens * w  # inputs of the qkv, output and ffn1 projections
+        + 4 * tokens * w  # attention: q/k/v copy, k^T
         + groups * dims.heads * s * s  # attention probabilities
-        + 4 * tokens * w  # output projection, ffn2, two residuals
-        + 3 * tokens * f  # ffn1, gelu output and its cdf
+        + 3 * tokens * f  # ffn1 output, gelu cdf, gelu output (ffn2's input)
     )
-    total += dims.layers * per_layer + 3 * tokens * f  # head ffn and gelu
+    # head: its input (the last residual sum), ffn output, gelu cdf and output
+    total += dims.layers * per_layer + tokens * w + 3 * tokens * f
     if dims.folding == M.TFG:
-        return total + 2 * tokens * dims.horizon  # predictions, huber error
-    # SF: per-token all-node forecasts, their node-major transpose, the
-    # time-axis map's output and the huber error
-    return total + 2 * tokens * n + 2 * b * n * dims.horizon
+        return total + tokens * dims.horizon  # huber error
+    # SF: the node-major forecasts the time-axis map reads, the huber error
+    return total + tokens * n + b * n * dims.horizon
 
 
 def bench(config, series, grid, epochs=3):

@@ -1,7 +1,11 @@
-"""The benchmark under ``perfbench/`` wraps foldcast callables by name; a
-rename or removal of one of them must fail the test suite, not only the
-benchmark run."""
+"""The benchmark under ``perfbench/`` wraps foldcast callables by name and
+observes what they return; a rename, a removal or a change that breaks one
+of its observers must fail the test suite, not only the benchmark run."""
 import os
+import subprocess
+import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -11,3 +15,13 @@ def test_every_name_the_benchmark_wraps_exists(monkeypatch):
     import tracing
 
     tracing.check_names()
+
+
+@pytest.mark.slow
+def test_benchmark_self_test_passes():
+    env = {**os.environ, "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

@@ -1,4 +1,6 @@
-"""Checkpoint round trips and corruption handling."""
+"""Checkpoint round trips, corruption handling and atomic saves."""
+import os
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,35 @@ class TestCheckpoint:
         other = small_params(n_nodes=5)  # different embed.s shape
         with pytest.raises(CheckpointError, match="mismatch"):
             load_into(other, path)
+
+
+class _UnwritableArray(np.ndarray):
+    """Parameter data whose serialization fails, as on a full disk."""
+
+    def astype(self, *args, **kwargs):
+        raise OSError("No space left on device")
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(small_params(seed=1), path)
+        before = path.read_bytes()
+        params = small_params(seed=2)
+        # the manifest and the first arrays are written before this one fails
+        t = params[list(params.tensors)[3]]
+        t.data = t.data.view(_UnwritableArray)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(params, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["checkpoint.bin"]
+
+    def test_save_replaces_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(small_params(seed=1), path)
+        save_checkpoint(small_params(seed=2), path)
+        fresh = small_params(seed=3)
+        load_into(fresh, path)
+        for name, t in small_params(seed=2).items():
+            assert np.array_equal(fresh[name].data, t.data), name
+        assert os.listdir(tmp_path) == ["checkpoint.bin"]

@@ -1,10 +1,11 @@
 """End-to-end command-line behavior and exit codes."""
 import csv
+import os
 
 import numpy as np
 import pytest
 
-from foldcast.cli import main
+from foldcast.cli import _write, main
 
 TINY = """\
 dataset = {dataset}
@@ -155,6 +156,24 @@ class TestTrain:
         ) == 0
         assert (first / "train_log.csv").read_bytes() == (again / "train_log.csv").read_bytes()
         assert (first / "checkpoint.bin").read_bytes() == (again / "checkpoint.bin").read_bytes()
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "train_log.csv"
+        path.write_text("epoch\n1\n")
+        with pytest.raises(TypeError):
+            _write(str(path), None)
+        assert path.read_text() == "epoch\n1\n"
+        assert os.listdir(tmp_path) == ["train_log.csv"]
+
+    def test_rerun_replaces_artifacts_and_leaves_no_temp_file(self, workspace):
+        tmp_path, cfg, _ = workspace
+        out = tmp_path / "run"
+        for seed in ("1", "2"):
+            assert main(["train", "--config", str(cfg), "--seed", seed, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["checkpoint.bin", "config.resolved", "train_log.csv"]
+        assert "seed = 2" in (out / "config.resolved").read_text()
 
 
 class TestEval:

@@ -357,6 +357,93 @@ class TestBackwardSemantics:
         assert mid.grad is None and loss.grad is None
 
 
+def closure_arrays(t):
+    """Arrays the backward closure of op output ``t`` holds."""
+    cells = t._node.backward.__closure__ or ()
+    return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+
+
+NUMPY_OPS = {
+    "add": np.add,
+    "mul": np.multiply,
+    "matmul": np.matmul,
+    "linear": lambda x, w, b: x @ w + b,
+}
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize(
+        "op, shapes, const",
+        [
+            ("add", [(3, 4), (4,)], 0),
+            ("add", [(3, 4), (4,)], 1),
+            ("mul", [(3, 4), (3, 1)], 0),
+            ("mul", [(3, 4), (3, 1)], 1),
+            ("matmul", [(2, 3, 4), (4, 5)], 0),  # leading dims flattened
+            ("matmul", [(2, 3, 4), (4, 5)], 1),
+            ("matmul", [(2, 3, 4), (2, 4, 5)], 0),  # batched
+            ("matmul", [(2, 3, 4), (2, 4, 5)], 1),
+            ("linear", [(2, 3, 4), (4, 5), (5,)], 0),
+            ("linear", [(2, 3, 4), (4, 5), (5,)], 1),
+            ("linear", [(2, 3, 4), (4, 5), (5,)], 2),
+        ],
+    )
+    def test_grads_match_fd_and_constant_gets_none(self, op, shapes, const):
+        rng = np.random.default_rng(12)
+        values = [rng.standard_normal(shape) for shape in shapes]
+        tensors = [Tensor(v, requires_grad=i != const) for i, v in enumerate(values)]
+        out = getattr(T, op)(*tensors)
+        w = rng.standard_normal(out.shape)
+        proj_loss(out, w).backward()
+        assert tensors[const].grad is None
+        for i, t in enumerate(tensors):
+            if i == const:
+                continue
+
+            def f(v, i=i):
+                args = list(values)
+                args[i] = v
+                return float((NUMPY_OPS[op](*args) * w).sum())
+
+            assert max_rel_err(t.grad, central_diff(f, values[i])) < 1e-6, i
+
+    def test_mul_by_constant_mask_keeps_only_the_mask(self):
+        rng = np.random.default_rng(13)
+        x = T.gelu(Tensor(rng.standard_normal((3, 4)), requires_grad=True))
+        mask = (rng.random((3, 4)) < 0.5).astype(np.float64)
+        kept = closure_arrays(T.mul(x, mask))
+        assert any(np.shares_memory(a, mask) for a in kept)
+        assert not any(np.shares_memory(a, x.data) for a in kept)
+
+    def test_linear_on_constant_input_keeps_no_weight(self):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((2, 3, 4))
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        b = Tensor(np.zeros(5), requires_grad=True)
+        kept = closure_arrays(T.linear(x, w, b))
+        assert not any(np.shares_memory(a, w.data) for a in kept)
+        assert any(np.shares_memory(a, x) for a in kept)
+
+    def test_no_tape_without_a_grad_operand(self):
+        out = T.mul(Tensor(np.ones(3)), np.ones(3))
+        assert out._node is None and not out.requires_grad and out.grad is None
+
+
+class TestOperandWrapping:
+    # a float64, C-ordered operand is wrapped without a copy: see
+    # TestConstantOperands::test_mul_by_constant_mask_keeps_only_the_mask
+    def test_other_arrays_are_converted(self):
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        for operand in (np.ones((3, 2), dtype=np.int64), np.ones((2, 3)).T):
+            (kept,) = closure_arrays(T.mul(x, operand))
+            assert kept.dtype == np.float64 and kept.flags.c_contiguous
+            assert not np.shares_memory(kept, operand)
+
+    def test_constructor_copies(self):
+        keep = np.ones((2, 3))
+        assert not np.shares_memory(Tensor(keep).data, keep)
+
+
 class TestHuber:
     def test_quadratic_branch(self):
         loss = T.huber_loss(Tensor([0.5]), np.array([0.0]), 1.0)

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import foldcast.tensor as T
 import foldcast.visibility as V
 from foldcast.data import TrafficSeries, apply_zscore, fit_normalizer, make_windows
 from foldcast.errors import DivergenceError
@@ -262,22 +263,22 @@ def _base(array):
 
 
 def retained_arrays(loss, params):
-    """Arrays a training graph keeps alive: every node's data plus the
-    arrays its backward closure holds, deduplicated by base array, with the
-    parameters left out."""
+    """Arrays a training graph keeps alive: walking the tape's nodes from
+    ``loss``, the arrays each backward closure holds, deduplicated by base
+    array, with the parameters left out. Nodes hold no data of their own,
+    so a leaf's array counts where a closure reads it."""
     skip = {id(_base(t.data)) for t in params.tensors.values()}
-    seen, stack, bases = {id(loss)}, [loss], {}
+    root = loss._node
+    seen, stack, bases = {id(root)}, [root], {}
     while stack:
         node = stack.pop()
-        arrays = [node.data]
-        if node._backward is not None:
-            cells = node._backward.__closure__ or ()
-            arrays += [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
-        for a in arrays:
-            base = _base(a)
-            if id(base) not in skip:
-                bases[id(base)] = base
-        for p in node._parents:
+        closure = node.backward.__closure__ if node.backward is not None else None
+        for c in closure or ():
+            if isinstance(c.cell_contents, np.ndarray):
+                base = _base(c.cell_contents)
+                if id(base) not in skip:
+                    bases[id(base)] = base
+        for p in node.parents:
             if id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
@@ -361,7 +362,7 @@ class TestGraphRelease:
         monkeypatch.undo()
         assert len(outputs) == 1
         assert not outputs[0].requires_grad
-        assert outputs[0]._parents == ()
+        assert outputs[0]._node is None  # no tape node recorded
         assert requires_grad_flags(forecaster) == before
         # the tape-free forward gives the same bits as a taped one
         inputs = np.stack([w.input for w in val_w])
@@ -387,6 +388,43 @@ class TestGraphRelease:
             evaluate(forecaster, val_w, stats)
         assert seen and not any(seen[0].values())
         assert requires_grad_flags(forecaster) == before
+
+    def test_forward_frees_outputs_no_backward_reads(self, monkeypatch):
+        n, batch = 10, 4
+        cfg = tiny_config(layers=2, embed_dim=8, ffn_dim=16, batch_size=batch, subgraph_size=4)
+        rng = np.random.default_rng(0)
+        forecaster = Forecaster.build(cfg, n, 24, rng)
+        qkv_weights = {id(forecaster.params[f"enc.{i}.qkv"]) for i in range(cfg.layers)}
+        buffers = {"qkv": [], "residual": [], "fused": [], "gathered": []}
+
+        def spy(op, kind, picks=lambda args: True):
+            real = getattr(T, op)
+
+            def recording(*args):
+                out = real(*args)
+                if picks(args):
+                    buffers[kind].append(weakref.ref(_base(out.data)))
+                return out
+
+            monkeypatch.setattr(T, op, recording)
+
+        spy("linear", "qkv", lambda args: id(args[1]) in qkv_weights)
+        spy("add", "residual")  # node-level training adds only the residuals
+        spy("concat_lastdim", "fused")
+        param_ids = {id(t) for t in forecaster.params.tensors.values()}
+        spy("gather_rows", "gathered", lambda args: id(args[0]) not in param_ids)
+        inputs = rng.normal(size=(batch, n, cfg.t_in))
+        targets = rng.normal(size=(batch, n, cfg.horizon))
+        tod, dow = rng.integers(0, 24, batch), rng.integers(0, 7, batch)
+        loss, _ = training_forward(forecaster, cfg, inputs, targets, tod, dow, rng)
+        monkeypatch.undo()
+        assert [len(refs) for refs in buffers.values()] == [2, 4, 1, 1]
+        alive = {kind: [i for i, ref in enumerate(refs) if ref() is not None]
+                 for kind, refs in buffers.items()}
+        # the last residual sum is the head's input, read by its weight gradient
+        assert alive == {"qkv": [], "residual": [3], "fused": [], "gathered": []}
+        loss.backward()
+        assert all(g is not None for g in forecaster.params.grads().values())
 
     def test_train_releases_each_step_graph(self, monkeypatch):
         refs = []
