@@ -16,12 +16,18 @@ are bit-identical.
 
 Two fused ops keep the tape short: ``linear`` (x @ w + b as one node) and
 ``attention`` (multi-head softmax(QK^T/sqrt(hd))V over a packed qkv tensor,
-with a hand-written backward). A gradient an op freshly allocates becomes
-the receiving node's gradient without a copy. After ``backward()`` only
-leaf tensors keep ``.grad``; every interior node's is released as soon as
-its closure has run, so calling ``backward()`` again on the same graph adds
-exactly one more gradient to each leaf. ``Tensor(data)`` copies ``data``;
-an op wraps a raw float64, C-ordered array operand without a copy.
+with a hand-written backward).
+
+Gradient ownership: a node's ``.grad`` array belongs to that node alone.
+A gradient an op freshly allocates becomes the receiving node's gradient
+without a copy; a view, a broadcast or an array handed to more than one
+parent is copied first. ``backward()`` drops each interior gradient as
+soon as its closure has run, so a closure may overwrite its incoming
+``g`` or pass it on to one parent as that parent's own. After
+``backward()`` only leaf tensors keep ``.grad``, so calling
+``backward()`` again on the same graph adds exactly one more gradient to
+each leaf. ``Tensor(data)`` copies ``data``; an op wraps a raw float64,
+C-ordered array operand without a copy.
 """
 from __future__ import annotations
 
@@ -164,10 +170,11 @@ def _from_op(data, nodes, backward):
 def _accumulate(node, g, owned=False):
     """Add ``g`` into ``node.grad``.
 
-    ``owned`` says the calling op allocated ``g`` afresh and hands it to
-    no other node, so a first gradient is taken over without a copy.
-    Anything else (a view, a broadcast, an array shared between parents)
-    is copied before ``node.grad`` may be updated in place.
+    ``owned`` says ``g`` belongs to the calling op (allocated afresh, or
+    its own incoming gradient) and goes to no other node, so a first
+    gradient is taken over without a copy. Anything else (a view of an
+    operand, a broadcast, an array shared between parents) is copied
+    before ``node.grad`` may be updated in place.
     """
     if not node.requires_grad:
         return
@@ -195,11 +202,13 @@ def add(a, b):
     a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
-        # without broadcasting both parents would see the same ``g``
+        # ``g`` itself goes, uncopied, to the last parent that takes it
+        # unreduced; an earlier one gets a copy (``add(x, x)`` gives 2g)
         if na is not None:
-            _accumulate(na, _unbroadcast(g, a_shape), owned=a_shape != g.shape)
+            owned = a_shape != g.shape or nb is None
+            _accumulate(na, _unbroadcast(g, a_shape), owned=owned)
         if nb is not None:
-            _accumulate(nb, _unbroadcast(g, b_shape), owned=b_shape != g.shape)
+            _accumulate(nb, _unbroadcast(g, b_shape), owned=True)
 
     return _from_op(data, (na, nb), backward)
 
@@ -315,7 +324,7 @@ def reshape(t, shape):
     data = t.data.reshape(shape)
 
     def backward(g):
-        _accumulate(node, g.reshape(in_shape))
+        _accumulate(node, g.reshape(in_shape), owned=True)
 
     return _from_op(data, (node,), backward)
 
@@ -412,8 +421,9 @@ def attention(qkv, heads):
 
     ``qkv`` is (groups, s, 3w): queries, keys and values side by side, each
     split into ``heads`` heads of width hd = w / heads. Returns the
-    (groups, s, w) merged-head context softmax(Q K^T / sqrt(hd)) V. Only the
-    probabilities, q, k^T and v are kept for the hand-written backward.
+    (groups, s, w) merged-head context softmax(Q K^T / sqrt(hd)) V. The
+    backward keeps the probabilities, q, k^T and v, each an array of its
+    own; k itself is not kept.
     """
     qkv = _as_tensor(qkv)
     if qkv.ndim != 3 or qkv.data.shape[-1] % (3 * heads):
@@ -423,9 +433,11 @@ def attention(qkv, heads):
     width = three_w // 3
     head_dim = width // heads
     scale = 1.0 / np.sqrt(head_dim)
-    split = qkv.data.reshape(groups, s, 3, heads, head_dim).transpose(2, 0, 3, 1, 4)
-    q, k, v = np.ascontiguousarray(split)  # each (groups, h, s, hd)
-    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    split = qkv.data.reshape(groups, s, 3, heads, head_dim)
+    # q and v are (groups, h, s, hd), kt is (groups, h, hd, s)
+    q = np.ascontiguousarray(split[:, :, 0].transpose(0, 2, 1, 3))
+    kt = np.ascontiguousarray(split[:, :, 1].transpose(0, 2, 3, 1))
+    v = np.ascontiguousarray(split[:, :, 2].transpose(0, 2, 1, 3))
     p = q @ kt
     p *= scale
     p -= p.max(axis=-1, keepdims=True)
@@ -435,7 +447,9 @@ def attention(qkv, heads):
 
     def backward(g):
         g_ctx = g.reshape(groups, s, heads, head_dim).transpose(0, 2, 1, 3)
-        d = np.empty((3, groups, heads, s, head_dim))
+        # dq, dk, dv land in qkv's own layout, so the reshape is a view
+        dqkv = np.empty((groups, s, 3, heads, head_dim))
+        d = dqkv.transpose(2, 0, 3, 1, 4)  # (3, groups, h, s, hd)
         np.matmul(p.swapaxes(-1, -2), g_ctx, out=d[2])
         dp = g_ctx @ v.swapaxes(-1, -2)
         dp -= (dp * p).sum(axis=-1, keepdims=True)
@@ -443,8 +457,7 @@ def attention(qkv, heads):
         dp *= scale
         np.matmul(dp, kt.swapaxes(-1, -2), out=d[0])
         d[1] = (q.swapaxes(-1, -2) @ dp).swapaxes(-1, -2)
-        dqkv = d.transpose(1, 3, 0, 2, 4).reshape(groups, s, three_w)
-        _accumulate(node, dqkv, owned=True)
+        _accumulate(node, dqkv.reshape(groups, s, three_w), owned=True)
 
     return _from_op(data, (node,), backward)
 
@@ -461,10 +474,12 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         )
     nx, ng, nb = _grad_node(x), _grad_node(gamma), _grad_node(beta)
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    var = (xhat**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    data = xhat * gamma.data + beta.data
+    xhat *= inv
+    data = xhat * gamma.data
+    data += beta.data
     gamma_data = gamma.data if nx is not None else None
 
     def backward(g):
@@ -490,7 +505,12 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def gelu(x):
-    """Exact-erf GELU: x * Phi(x). Temporaries are updated in place."""
+    """Exact-erf GELU: x * Phi(x).
+
+    When ``x`` needs a gradient the forward also computes the derivative
+    Phi(x) + x * phi(x), the one array the backward keeps; the output is
+    written into the Phi(x) buffer.
+    """
     x = _as_tensor(x)
     node = _grad_node(x)
     x_data = x.data
@@ -498,18 +518,20 @@ def gelu(x):
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    data = x_data * cdf
+    deriv = None
+    if node is not None:
+        # cdf + x * pdf with pdf = exp(-x^2 / 2) / sqrt(2 pi)
+        deriv = np.multiply(x_data, -0.5, out=np.empty_like(x_data))
+        deriv *= x_data
+        np.exp(deriv, out=deriv)
+        deriv *= _INV_SQRT2PI
+        deriv *= x_data
+        deriv += cdf
+    data = np.multiply(x_data, cdf, out=cdf)
 
     def backward(g):
-        # g * (cdf + x * pdf) with pdf = exp(-x^2 / 2) / sqrt(2 pi)
-        dx = np.multiply(x_data, -0.5, out=np.empty_like(x_data))
-        dx *= x_data
-        np.exp(dx, out=dx)
-        dx *= _INV_SQRT2PI
-        dx *= x_data
-        dx += cdf
-        dx *= g
-        _accumulate(node, dx, owned=True)
+        g *= deriv
+        _accumulate(node, g, owned=True)
 
     return _from_op(data, (node,), backward)
 

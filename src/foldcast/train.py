@@ -417,8 +417,8 @@ def activation_float_count(dims, config, batch_size):
     """8-byte elements one training step's graph retains until it is
     released: the arrays its backward closures keep, int64 gather indices
     included, parameters and boolean masks left out. An op output that no
-    backward reads (a residual sum, the fused tokens, the qkv projection)
-    is freed during the forward and not counted. Counted op by op from
+    backward reads (a residual sum, the fused tokens, the qkv projection,
+    a GELU input) is freed during the forward and not counted. Counted op by op from
     ``tensor.py``; an analytic stand-in for the step's allocator peak (the
     backward pass allocates gradients on top)."""
     n = dims.n_nodes
@@ -441,12 +441,12 @@ def activation_float_count(dims, config, batch_size):
     per_layer = (
         2 * (tokens * w + tokens)  # two layer norms: x-hat, 1/sigma
         + 3 * tokens * w  # inputs of the qkv, output and ffn1 projections
-        + 4 * tokens * w  # attention: q/k/v copy, k^T
+        + 3 * tokens * w  # attention: q, k^T, v
         + groups * dims.heads * s * s  # attention probabilities
-        + 3 * tokens * f  # ffn1 output, gelu cdf, gelu output (ffn2's input)
+        + 2 * tokens * f  # gelu derivative, gelu output (ffn2's input)
     )
-    # head: its input (the last residual sum), ffn output, gelu cdf and output
-    total += dims.layers * per_layer + tokens * w + 3 * tokens * f
+    # head: its input (the last residual sum), gelu derivative and output
+    total += dims.layers * per_layer + tokens * w + 2 * tokens * f
     if dims.folding == M.TFG:
         return total + tokens * dims.horizon  # huber error
     # SF: the node-major forecasts the time-axis map reads, the huber error

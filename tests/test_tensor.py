@@ -1,4 +1,6 @@
 """Tensor-core semantics and gradient checks against finite differences."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ import foldcast.tensor as T
 from foldcast.tensor import AdamState, ShapeError, Tensor, adam_step
 
 from fdcheck import central_diff, max_rel_err
+from graphwalk import base_array, closure_arrays
 
 
 def proj_loss(out, w):
@@ -156,6 +159,43 @@ class TestGelu:
         oracle = lambda v: float((v * 0.5 * (1 + erf(v / np.sqrt(2))) * w).sum())
         assert max_rel_err(g, central_diff(oracle, x)) < 1e-5
 
+    def test_shared_output_twice_through_backward(self):
+        # the output's gradient sums two consumers, then the backward
+        # scales it in place; the derivative must survive for a second pass
+        from scipy.special import erf
+
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((3, 4)) * 2
+        w1, w2 = rng.standard_normal((2, 3, 4))
+        xt = Tensor(x, requires_grad=True)
+        h = T.gelu(xt)
+        loss = T.add(proj_loss(h, w1), proj_loss(h, w2))
+        loss.backward()
+        loss.backward()
+        oracle = lambda v: 2 * float((v * 0.5 * (1 + erf(v / np.sqrt(2))) * (w1 + w2)).sum())
+        assert max_rel_err(xt.grad, central_diff(oracle, x)) < 1e-5
+
+    def test_closure_keeps_only_the_derivative(self):
+        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        xt = Tensor(x, requires_grad=True)
+        out = T.gelu(xt)
+        (kept,) = closure_arrays(out._node)
+        assert kept.shape == x.shape
+        assert not np.shares_memory(kept, xt.data) and not np.shares_memory(kept, out.data)
+
+    def test_no_derivative_without_grad(self):
+        # the output reuses the cdf buffer; the derivative is skipped
+        x = np.ones((64, 64))
+        for requires_grad, arrays in ((False, 1), (True, 2)):
+            xt = Tensor(x, requires_grad=requires_grad)
+            tracemalloc.start()
+            try:
+                T.gelu(xt)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert arrays * x.nbytes <= peak < (arrays + 0.5) * x.nbytes
+
 
 class TestConcat:
     def test_four_parts_of_64(self):
@@ -303,6 +343,18 @@ class TestAttention:
         with pytest.raises(ShapeError):
             T.attention(Tensor(np.zeros((2, 3, 10))), 2)
 
+    def test_closure_keeps_kt_not_k(self):
+        groups, s, heads, hd = 2, 5, 2, 3
+        width = heads * hd
+        qkv = np.random.default_rng(20).standard_normal((groups, s, 3 * width))
+        out = T.attention(Tensor(qkv, requires_grad=True), heads)
+        kept = closure_arrays(out._node)
+        k = qkv[..., width:2 * width].reshape(groups, s, heads, hd).transpose(0, 2, 1, 3)
+        # probabilities, q, k^T and v, each an array of its own
+        assert len(kept) == 4 and all(base_array(a) is a for a in kept)
+        assert any(np.array_equal(a, k.swapaxes(-1, -2)) for a in kept)
+        assert not any(np.array_equal(a, k) for a in kept)
+
 
 class TestOwnedGradients:
     def test_add_self_matches_fd(self):
@@ -331,6 +383,20 @@ class TestOwnedGradients:
         assert max_rel_err(at.grad, central_diff(lambda v: f(v, b0), a0)) < 1e-7
         assert max_rel_err(bt.grad, central_diff(lambda v: f(a0, v), b0)) < 1e-7
 
+    @pytest.mark.parametrize("const", [0, 1])
+    def test_add_constant_operand_twice_through_backward(self, const):
+        # ``g`` goes to the one parent uncopied; a second pass adds to it
+        rng = np.random.default_rng(21)
+        x, c, w = rng.standard_normal((3, 3, 4))
+        c_before = c.copy()
+        xt = Tensor(x, requires_grad=True)
+        loss = proj_loss(T.add(*((xt, c) if const else (c, xt))), w)
+        loss.backward()
+        loss.backward()
+        fd = central_diff(lambda v: 2 * float(((v + c) * w).sum()), x)
+        assert max_rel_err(xt.grad, fd) < 1e-8
+        assert np.array_equal(c, c_before)
+
     def test_concat_siblings_do_not_share(self):
         rng = np.random.default_rng(18)
         x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
@@ -355,12 +421,6 @@ class TestBackwardSemantics:
         loss.backward()
         assert x.grad is not None
         assert mid.grad is None and loss.grad is None
-
-
-def closure_arrays(t):
-    """Arrays the backward closure of op output ``t`` holds."""
-    cells = t._node.backward.__closure__ or ()
-    return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
 
 
 NUMPY_OPS = {
@@ -411,7 +471,7 @@ class TestConstantOperands:
         rng = np.random.default_rng(13)
         x = T.gelu(Tensor(rng.standard_normal((3, 4)), requires_grad=True))
         mask = (rng.random((3, 4)) < 0.5).astype(np.float64)
-        kept = closure_arrays(T.mul(x, mask))
+        kept = closure_arrays(T.mul(x, mask)._node)
         assert any(np.shares_memory(a, mask) for a in kept)
         assert not any(np.shares_memory(a, x.data) for a in kept)
 
@@ -420,7 +480,7 @@ class TestConstantOperands:
         x = rng.standard_normal((2, 3, 4))
         w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         b = Tensor(np.zeros(5), requires_grad=True)
-        kept = closure_arrays(T.linear(x, w, b))
+        kept = closure_arrays(T.linear(x, w, b)._node)
         assert not any(np.shares_memory(a, w.data) for a in kept)
         assert any(np.shares_memory(a, x) for a in kept)
 
@@ -435,7 +495,7 @@ class TestOperandWrapping:
     def test_other_arrays_are_converted(self):
         x = Tensor(np.ones((3, 2)), requires_grad=True)
         for operand in (np.ones((3, 2), dtype=np.int64), np.ones((2, 3)).T):
-            (kept,) = closure_arrays(T.mul(x, operand))
+            (kept,) = closure_arrays(T.mul(x, operand)._node)
             assert kept.dtype == np.float64 and kept.flags.c_contiguous
             assert not np.shares_memory(kept, operand)
 
