@@ -7,6 +7,8 @@ into place, so an interrupted save leaves the previous checkpoint intact.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -51,15 +53,26 @@ def read_checkpoint(path):
         manifest = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", need(fh, 2, "manifest"))
-            name = need(fh, name_len, "manifest").decode("utf-8")
+            try:
+                name = need(fh, name_len, "manifest").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: parameter name is not UTF-8") from exc
             (ndim,) = struct.unpack("<B", need(fh, 1, "manifest"))
             shape = struct.unpack(f"<{ndim}Q", need(fh, 8 * ndim, "manifest"))
             manifest[name] = tuple(int(d) for d in shape)
+        size = os.fstat(fh.fileno()).st_size
         blobs = {}
         for name, shape in manifest.items():
-            n = int(np.prod(shape)) if shape else 1
-            raw = need(fh, 8 * n, f"array {name}")
-            blobs[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            # exact integer size, checked against the file before a read is
+            # sized from it
+            nbytes = 8 * math.prod(shape)
+            if nbytes > size - fh.tell():
+                raise CheckpointError(f"{path}: truncated array {name}")
+            raw = need(fh, nbytes, f"array {name}")
+            try:
+                blobs[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            except ValueError as exc:  # an empty array with a dimension numpy cannot hold
+                raise CheckpointError(f"{path}: bad shape {shape} for {name}") from exc
     return manifest, blobs
 
 

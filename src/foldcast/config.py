@@ -8,18 +8,10 @@ Command-line flags override file values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .train import TrainConfig
-
-
-def _parse_int(raw):
-    return int(raw)
-
-
-def _parse_float(raw):
-    return float(raw)
 
 
 def _parse_int_list(raw):
@@ -36,35 +28,14 @@ def _parse_float_triple(raw):
     return parts
 
 
-def _parse_str(raw):
-    return raw
+_TUPLE_PARSERS = {"milestones": _parse_int_list, "split": _parse_float_triple}
 
-
-# key -> (parser, default); None default means "no value unless given"
-SCHEMA = {
-    "dataset": (_parse_str, None),
-    "t_in": (_parse_int, 24),
-    "horizon": (_parse_int, 24),
-    "embed_dim": (_parse_int, 64),
-    "ffn_dim": (_parse_int, 1024),
-    "heads": (_parse_int, 4),
-    "layers": (_parse_int, 1),
-    "batch_size": (_parse_int, 16),
-    "lr": (_parse_float, 1e-4),
-    "milestones": (_parse_int_list, (55,)),
-    "decay": (_parse_float, 0.1),
-    "patience": (_parse_int, 10),
-    "huber_delta": (_parse_float, 1.0),
-    "mask_ratio": (_parse_float, 0.2),
-    "subgraph_size": (_parse_int, 50),
-    "mask_strategy": (_parse_str, "node_level"),
-    "folding": (_parse_str, "TFG"),
-    "seed": (_parse_int, 0),
-    "max_epochs": (_parse_int, 100),
-    "split": (_parse_float_triple, (0.6, 0.2, 0.2)),
+# key -> (parser, default) in snapshot order: the dataset path (no value
+# unless given), then every TrainConfig field, parsed by its default's type
+SCHEMA = {"dataset": (str, None)} | {
+    f.name: (_TUPLE_PARSERS.get(f.name, type(f.default)), f.default)
+    for f in fields(TrainConfig)
 }
-
-_TRAIN_FIELDS = set(TrainConfig.__dataclass_fields__)
 
 
 @dataclass
@@ -117,7 +88,7 @@ def resolve(file_values=None, overrides=None):
         else:
             resolved[key] = default
     dataset = resolved.pop("dataset")
-    cfg = TrainConfig(**{k: v for k, v in resolved.items() if k in _TRAIN_FIELDS})
+    cfg = TrainConfig(**resolved)
     try:
         cfg.validate()
     except ValueError as exc:

@@ -97,7 +97,10 @@ def load_series(path, format="auto"):
     if format == "binary":
         return _load_binary(path)
     if format == "text":
-        return _load_text(path)
+        try:
+            return _load_text(path)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     raise DataError(f"unknown series format {format!r}")
 
 
@@ -150,10 +153,15 @@ def _load_binary(path):
             raise DataError(f"{path}: truncated binary header")
         steps, n, freq = struct.unpack("<QQQ", head[:24])
         (start,) = struct.unpack("<q", head[24:])
-        payload = fh.read(steps * n * 8)
-        if len(payload) != steps * n * 8:
+        # the header's sizes are checked against the bytes present before
+        # any buffer is sized from them
+        payload = fh.read()
+        if len(payload) < steps * n * 8:
             raise DataError(f"{path}: truncated payload")
-        values = np.frombuffer(payload, dtype="<f8").reshape(steps, n)
+        try:
+            values = np.frombuffer(payload, dtype="<f8", count=steps * n).reshape(steps, n)
+        except ValueError as exc:  # an empty series with a dimension numpy cannot hold
+            raise DataError(f"{path}: bad shape {steps} x {n}") from exc
     return TrafficSeries(values.copy(), frequency=int(freq), start=int(start))
 
 
@@ -249,6 +257,17 @@ def make_windows(series, t_in, horizon, split=(0.6, 0.2, 0.2)):
         else:
             out[2].append(window)
     return out
+
+
+def stack_windows(windows):
+    """Batch arrays of a window list: (inputs (B, N, T), targets (B, N, T'),
+    tod (B,), dow (B,))."""
+    return (
+        np.stack([w.input for w in windows]),
+        np.stack([w.target for w in windows]),
+        np.array([w.tod_index for w in windows]),
+        np.array([w.dow_index for w in windows]),
+    )
 
 
 def _window_row_phases(window, t_in, frequency):

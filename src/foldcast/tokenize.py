@@ -41,11 +41,15 @@ class EmbeddingTables:
 
 
 def fuse_embeddings_batch(tokens, tables, tod_indices, dow_indices):
-    """Batched fusion: (B, N, T) tokens -> (B, N, 4d) tensor.
+    """Batched fusion: (B, L, F) folded tokens -> (B, L, width) tensor.
 
-    The projection output, the per-node spatial row, and the sample's
-    tod/dow rows (broadcast to all nodes) are concatenated in that order,
-    so slices [2d, 3d) and [3d, 4d) are constant across a sample's nodes.
+    The projection output, the per-token spatial row, and the sample's
+    tod/dow rows (broadcast to all L tokens) are concatenated in that
+    order, so the last two d-wide slices are constant across a sample's
+    tokens. Under temporal folding the L tokens are the N nodes; under
+    spatial folding (``tables.spatial`` is None) they are the T steps,
+    each mixing every node, so there is no spatial row and tokens are 3d
+    wide.
     """
     b, n, _ = tokens.shape
     freq = tables.tod.shape[0]
@@ -55,26 +59,12 @@ def fuse_embeddings_batch(tokens, tables, tod_indices, dow_indices):
         raise IndexError(f"tod index out of range [0, {freq})")
     if dow_indices.min() < 0 or dow_indices.max() >= 7:
         raise IndexError("dow index out of range [0, 7)")
-    e_x = T.linear(tokens, tables.wx, tables.wx_b)
-    node_ids = np.broadcast_to(np.arange(n), (b, n))
-    e_s = T.gather_rows(tables.spatial, node_ids)
-    e_tod = T.gather_rows(tables.tod, np.repeat(tod_indices[:, None], n, axis=1))
-    e_dow = T.gather_rows(tables.dow, np.repeat(dow_indices[:, None], n, axis=1))
-    return T.concat_lastdim([e_x, e_s, e_tod, e_dow])
-
-
-def fuse_embeddings_sf_batch(tokens, tables, tod_indices, dow_indices):
-    """Spatial-folding fusion: (B, T, N) tokens -> (B, T, 3d) tensor.
-
-    One SF token mixes attributes of every node, so no per-token spatial
-    embedding exists; tod/dow (anchor-derived, shared across tokens) are
-    still appended.
-    """
-    b, steps, _ = tokens.shape
-    e_x = T.linear(tokens, tables.wx, tables.wx_b)
-    e_tod = T.gather_rows(tables.tod, np.repeat(np.asarray(tod_indices)[:, None], steps, axis=1))
-    e_dow = T.gather_rows(tables.dow, np.repeat(np.asarray(dow_indices)[:, None], steps, axis=1))
-    return T.concat_lastdim([e_x, e_tod, e_dow])
+    parts = [T.linear(tokens, tables.wx, tables.wx_b)]
+    if tables.spatial is not None:
+        parts.append(T.gather_rows(tables.spatial, np.broadcast_to(np.arange(n), (b, n))))
+    parts.append(T.gather_rows(tables.tod, np.repeat(tod_indices[:, None], n, axis=1)))
+    parts.append(T.gather_rows(tables.dow, np.repeat(dow_indices[:, None], n, axis=1)))
+    return T.concat_lastdim(parts)
 
 
 def export_embeddings(tables, path):

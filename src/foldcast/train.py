@@ -14,6 +14,7 @@ time cannot. Measured wall time is reported by the bench harness.
 from __future__ import annotations
 
 import time
+import tracemalloc
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,10 +22,10 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from . import visibility as V
-from .data import apply_zscore, fit_normalizer, invert_zscore, make_windows
+from .data import apply_zscore, fit_normalizer, invert_zscore, make_windows, stack_windows
 from .errors import DivergenceError
 from .metrics import MetricAccumulator
-from .tokenize import fuse_embeddings_batch, fuse_embeddings_sf_batch
+from .tokenize import fuse_embeddings_batch
 
 NOMINAL_FLOPS_PER_SECOND = 2.0e9  # fixed rate backing the analytic estimate
 
@@ -52,10 +53,10 @@ class TrainConfig:
     huber_delta: float = 1.0
     mask_ratio: float = 0.2
     subgraph_size: int = 50
+    mask_strategy: str = "node_level"
+    folding: str = M.TFG
     seed: int = 0
     max_epochs: int = 100
-    folding: str = M.TFG
-    mask_strategy: str = "node_level"
     split: tuple = (0.6, 0.2, 0.2)
 
     def validate(self):
@@ -81,6 +82,8 @@ class TrainConfig:
             )
         if self.max_epochs < 0 or self.patience < 1 or self.batch_size < 1:
             raise ValueError("max_epochs >= 0, patience >= 1, batch_size >= 1 required")
+        if min(self.embed_dim, self.ffn_dim, self.heads) < 1 or self.layers < 0:
+            raise ValueError("embed_dim, ffn_dim, heads >= 1 and layers >= 0 required")
         width = (4 if self.folding == M.TFG else 3) * self.embed_dim
         if width % self.heads != 0:
             raise ValueError(
@@ -119,11 +122,10 @@ class Forecaster:
         return cls(dims, M.build_params(dims, rng))
 
     def fuse(self, inputs, tod, dow):
-        """(B, N, T) inputs -> fused token tensor (two layouts by folding)."""
-        tables = self.params.tables()
-        if self.dims.folding == M.TFG:
-            return fuse_embeddings_batch(inputs, tables, tod, dow)
-        return fuse_embeddings_sf_batch(inputs.transpose(0, 2, 1), tables, tod, dow)
+        """(B, N, T) inputs -> fused tokens: one per node under TFG, one
+        per input step (the (B, T, N) transpose) under SF."""
+        tokens = inputs if self.dims.folding == M.TFG else inputs.transpose(0, 2, 1)
+        return fuse_embeddings_batch(tokens, self.params.tables(), tod, dow)
 
     def encode_and_predict(self, z0):
         z = M.encoder_forward(z0, self.params, self.dims.layers, self.dims.heads)
@@ -165,38 +167,33 @@ def sample_geometry(dims, config):
 def training_forward(forecaster, config, inputs, targets, tod, dow, plan_rng):
     """One training-mode forward: fuse, apply visibility, encode, predict.
 
-    Returns (loss tensor, visible token count). SF mode and the
-    perturbation-style masking strategies run full-graph (every node stays
-    visible and incurs loss).
+    Returns (loss tensor, visible token count). Node-level masking puts
+    each sample's K*s visible slots through the encoder and takes the loss
+    over the kept nodes; SF mode and the perturbation strategies run the
+    full graph, every node visible and incurring loss.
     """
-    b, n, _ = inputs.shape
-    if forecaster.dims.folding == M.SF:
+    dims = forecaster.dims
+    b = inputs.shape[0]
+    tokens, _, s = sample_geometry(dims, config)
+    include = None
+    if dims.folding == M.SF:
         preds = forecaster.forward_inference(inputs, tod, dow)
-        loss = T.huber_loss(preds, targets, config.huber_delta)
-        return loss, b * config.t_in
-    fused = forecaster.fuse(inputs, tod, dow)
-    if config.mask_strategy == "node_level":
-        s_eff = effective_subgraph_size(n, config.mask_ratio, config.subgraph_size)
+    else:
+        fused = forecaster.fuse(inputs, tod, dow)
         plans = [
-            V.plan_visibility(n, config.mask_ratio, s_eff, plan_rng) for _ in range(b)
+            V.plan_visibility(dims.n_nodes, config.mask_ratio, s, plan_rng) for _ in range(b)
         ]
-        z0 = V.apply_visibility_batch(fused, plans)
-        slot_targets, include = V.gather_targets(targets, plans)
+        if config.mask_strategy == "node_level":
+            z0 = V.apply_visibility_batch(fused, plans)
+            targets, include = V.gather_targets(targets, plans)
+            include = include[..., None]
+        else:
+            z0 = V.perturb_masked_batch(
+                fused, plans, config.mask_strategy, config.embed_dim, plan_rng
+            )
         preds = forecaster.encode_and_predict(z0)
-        loss = T.huber_loss(
-            preds, slot_targets, config.huber_delta, include[..., None]
-        )
-        return loss, z0.shape[0] * z0.shape[1]
-    # perturbation strategies: all N rows stay visible, one group per sample
-    plans = [
-        V.plan_visibility(n, config.mask_ratio, n, plan_rng) for _ in range(b)
-    ]
-    z0 = V.perturb_masked_batch(
-        fused, plans, config.mask_strategy, config.embed_dim, plan_rng
-    )
-    preds = forecaster.encode_and_predict(z0)
-    loss = T.huber_loss(preds, targets, config.huber_delta)
-    return loss, b * n
+    loss = T.huber_loss(preds, targets, config.huber_delta, include)
+    return loss, b * tokens
 
 
 def evaluate(forecaster, windows, stats, batch_size=64, accumulator=None, per_horizon=None):
@@ -212,11 +209,7 @@ def evaluate(forecaster, windows, stats, batch_size=64, accumulator=None, per_ho
         raise ValueError("evaluate needs a non-empty window set")
     acc = accumulator if accumulator is not None else MetricAccumulator()
     for lo in range(0, len(windows), batch_size):
-        batch = windows[lo : lo + batch_size]
-        inputs = np.stack([w.input for w in batch])
-        targets = np.stack([w.target for w in batch])
-        tod = np.array([w.tod_index for w in batch])
-        dow = np.array([w.dow_index for w in batch])
+        inputs, targets, tod, dow = stack_windows(windows[lo : lo + batch_size])
         with forecaster.params.no_grad():
             preds = forecaster.forward_inference(inputs, tod, dow).data
         pred_units = invert_zscore(preds, stats)
@@ -292,15 +285,8 @@ def train(config, series, progress=None):
         loss_batches = 0
         tokens_processed = 0
         for lo in range(0, len(order), config.batch_size):
-            idx = order[lo : lo + config.batch_size]
-            batch = [train_w[i] for i in idx]
-            inputs = np.stack([w.input for w in batch])
-            targets = np.stack([w.target for w in batch])
-            tod = np.array([w.tod_index for w in batch])
-            dow = np.array([w.dow_index for w in batch])
-            loss, tokens = training_forward(
-                forecaster, config, inputs, targets, tod, dow, plan_rng
-            )
+            batch = stack_windows([train_w[i] for i in order[lo : lo + config.batch_size]])
+            loss, tokens = training_forward(forecaster, config, *batch, plan_rng)
             if not np.isfinite(loss.data):
                 raise DivergenceError(
                     f"non-finite training loss at epoch {epoch}"
@@ -413,44 +399,29 @@ def estimate_epoch_seconds(dims, config, n_train, n_val):
     return total / NOMINAL_FLOPS_PER_SECOND
 
 
-def activation_float_count(dims, config, batch_size):
-    """8-byte elements one training step's graph retains until it is
-    released: the arrays its backward closures keep, int64 gather indices
-    included, parameters and boolean masks left out. An op output that no
-    backward reads (a residual sum, the fused tokens, the qkv projection,
-    a GELU input) is freed during the forward and not counted. Counted op by op from
-    ``tensor.py``; an analytic stand-in for the step's allocator peak (the
-    backward pass allocates gradients on top)."""
-    n = dims.n_nodes
-    w = dims.width
-    f = dims.ffn_dim
-    b = batch_size
-    seq, feat = (n, dims.t_in) if dims.folding == M.TFG else (dims.t_in, n)
-    # fuse: the projection's input rows and the tod/dow indices (plus the
-    # node ids in TFG)
-    total = b * seq * feat + 2 * b * seq
-    tokens, groups, s = sample_geometry(dims, config)
-    tokens *= b
-    groups *= b
-    if dims.folding == M.TFG:
-        total += n
-        if config.mask_strategy == "node_level":
-            total += 2 * tokens  # gather indices, pad mask
-        else:
-            total += tokens * w  # keep mask
-    per_layer = (
-        2 * (tokens * w + tokens)  # two layer norms: x-hat, 1/sigma
-        + 3 * tokens * w  # inputs of the qkv, output and ffn1 projections
-        + 3 * tokens * w  # attention: q, k^T, v
-        + groups * dims.heads * s * s  # attention probabilities
-        + 2 * tokens * f  # gelu derivative, gelu output (ffn2's input)
-    )
-    # head: its input (the last residual sum), gelu derivative and output
-    total += dims.layers * per_layer + tokens * w + 2 * tokens * f
-    if dims.folding == M.TFG:
-        return total + tokens * dims.horizon  # huber error
-    # SF: the node-major forecasts the time-axis map reads, the huber error
-    return total + tokens * n + b * n * dims.horizon
+def activation_float_count(forecaster, config, windows):
+    """8-byte words one training step's graph holds: the numpy buffers a
+    ``training_forward`` over ``windows`` allocates that are still alive
+    while its loss is, measured with ``tracemalloc``. Boolean masks and
+    gather indices count by their bytes; the parameters, allocated before
+    the step, do not count. A caller's own tracing session keeps running."""
+    def numpy_bytes():
+        traces = tracemalloc.take_snapshot().traces
+        return sum(t.size for t in traces if t.domain == np.lib.tracemalloc_domain)
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = numpy_bytes()
+        loss, _ = training_forward(
+            forecaster, config, *stack_windows(windows), np.random.default_rng(config.seed)
+        )
+        held = numpy_bytes() - before  # taken while ``loss`` keeps the graph alive
+    finally:
+        if started:
+            tracemalloc.stop()
+    return held / 8
 
 
 def bench(config, series, grid, epochs=3):
@@ -458,7 +429,9 @@ def bench(config, series, grid, epochs=3):
 
     Each grid point trains ``epochs`` epochs on the series and reports the
     per-sample encoder token count (``sample_geometry``), parameter count,
-    analytic activation floats, and the minimum measured epoch wall time.
+    the activation words one step over the first ``batch_size`` training
+    windows holds (``activation_float_count``), and the minimum measured
+    epoch wall time.
     """
     rows = []
     for r, s in grid:
@@ -470,15 +443,15 @@ def bench(config, series, grid, epochs=3):
             patience=max(config.patience, epochs + 1),
         )
         result = train(cfg, series)
-        dims = result.forecaster.dims
+        forecaster = result.forecaster
         rows.append(
             [
                 f"r{r}_s{s}",
                 r,
                 s,
-                sample_geometry(dims, cfg)[0],
-                result.forecaster.params.param_count(),
-                activation_float_count(dims, cfg, cfg.batch_size),
+                sample_geometry(forecaster.dims, cfg)[0],
+                forecaster.params.param_count(),
+                activation_float_count(forecaster, cfg, result.windows[0][: cfg.batch_size]),
                 min(result.wall_seconds),
             ]
         )

@@ -1,5 +1,6 @@
 """Checkpoint round trips, corruption handling and atomic saves."""
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +16,12 @@ def small_params(seed=0, n_nodes=4):
         layers=1, n_nodes=n_nodes, frequency=12,
     )
     return build_params(dims, np.random.default_rng(seed))
+
+
+def crafted_checkpoint(name, dims, payload=b""):
+    """Checkpoint bytes holding one entry named ``name`` of shape ``dims``."""
+    return (bytes([VERSION]) + struct.pack("<IH", 1, len(name)) + name
+            + struct.pack(f"<B{len(dims)}Q", len(dims), *dims) + payload)
 
 
 class TestCheckpoint:
@@ -60,6 +67,21 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(CheckpointError, match="truncated"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "dims", [(2**32, 2**32), (0, 2**63)], ids=["product_wraps", "empty_too_wide"]
+    )
+    def test_unrepresentable_dims_rejected(self, tmp_path, dims):
+        path = tmp_path / "ck.bin"
+        path.write_bytes(crafted_checkpoint(b"embed.wx", dims, bytes(16)))
+        with pytest.raises(CheckpointError, match="embed.wx"):
+            read_checkpoint(path)
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        path.write_bytes(crafted_checkpoint(b"\xff\xfe", (2,), bytes(16)))
+        with pytest.raises(CheckpointError, match="UTF-8"):
             read_checkpoint(path)
 
     def test_manifest_mismatch_rejected(self, tmp_path):

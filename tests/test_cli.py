@@ -124,6 +124,13 @@ class TestTrain:
         assert code == 2
         assert "nowhere.txt" in capsys.readouterr().err
 
+    def test_nonpositive_model_size_exits_2(self, workspace, capsys):
+        tmp_path, cfg, _ = workspace
+        code = main(["train", "--config", str(cfg), "--set", "heads=0",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "heads" in capsys.readouterr().err
+
     def test_no_dataset_key_exits_2(self, tmp_path):
         code = main(["train", "--out", str(tmp_path / "x")])
         assert code == 2
@@ -205,6 +212,19 @@ class TestEval:
         ck = out / "checkpoint.bin"
         raw = bytearray(ck.read_bytes())
         raw[0] = 0x7F
+        ck.write_bytes(bytes(raw))
+        code = main(
+            ["eval", "--checkpoint", str(ck), "--config", str(cfg), "--out", str(out)]
+        )
+        assert code == 3
+
+    def test_non_utf8_parameter_name_exits_3(self, workspace):
+        tmp_path, cfg, _ = workspace
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        ck = out / "checkpoint.bin"
+        raw = bytearray(ck.read_bytes())
+        raw[7] = 0xFF  # first byte of the first parameter name
         ck.write_bytes(bytes(raw))
         code = main(
             ["eval", "--checkpoint", str(ck), "--config", str(cfg), "--out", str(out)]

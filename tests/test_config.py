@@ -3,6 +3,7 @@ import pytest
 
 from foldcast.config import parse_config_file, resolve, snapshot
 from foldcast.errors import ConfigError
+from foldcast.train import TrainConfig
 
 
 class TestParsing:
@@ -40,6 +41,21 @@ class TestResolve:
         assert (cfg.lr, cfg.milestones, cfg.decay, cfg.patience) == (1e-4, (55,), 0.1, 10)
         assert (cfg.batch_size, cfg.huber_delta) == (16, 1.0)
         assert run.dataset is None
+
+    def test_defaults_are_train_config_defaults(self):
+        assert resolve().train == TrainConfig()
+
+    @pytest.mark.parametrize(
+        "key,raw",
+        [("heads", "0"), ("heads", "-2"), ("embed_dim", "-4"), ("embed_dim", "0"),
+         ("ffn_dim", "0"), ("layers", "-1")],
+    )
+    def test_model_sizes_checked(self, key, raw):
+        with pytest.raises(ConfigError, match=key):
+            resolve({}, {key: raw})
+
+    def test_zero_layers_allowed(self):
+        assert resolve({}, {"layers": "0"}).train.layers == 0
 
     def test_overrides_beat_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -79,6 +95,15 @@ class TestSnapshot:
         again = resolve(parse_config_file(path))
         assert again.train == run.train
         assert again.dataset == run.dataset
+
+    def test_key_order_is_fixed(self):
+        keys = [line.split(" = ")[0] for line in snapshot(resolve()).splitlines()]
+        assert keys == [
+            "dataset", "t_in", "horizon", "embed_dim", "ffn_dim", "heads", "layers",
+            "batch_size", "lr", "milestones", "decay", "patience", "huber_delta",
+            "mask_ratio", "subgraph_size", "mask_strategy", "folding", "seed",
+            "max_epochs", "split",
+        ]
 
     def test_snapshot_is_stable(self):
         run = resolve()

@@ -1,10 +1,13 @@
 """Data pipeline: loading, normalization, windowing, and the HA baseline."""
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldcast.data import (
+    BINARY_MAGIC,
     NormStats,
     TrafficSeries,
     apply_zscore,
@@ -45,6 +48,23 @@ class TestLoadSave:
         assert back.values.shape == (16992, 307)
         assert back.frequency == 288
         assert np.array_equal(back.values, values)
+
+    @pytest.mark.parametrize(
+        "steps,nodes,match",
+        [(2**40, 2**20, "truncated"), (0, 2**63, "bad shape"), (0, 2**62, "bad shape")],
+        ids=["larger_than_file", "empty_too_wide", "empty_too_big"],
+    )
+    def test_unrepresentable_binary_header_rejected(self, tmp_path, steps, nodes, match):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(BINARY_MAGIC + struct.pack("<QQQq", steps, nodes, 24, MONDAY) + bytes(16))
+        with pytest.raises(DataError, match=match):
+            load_series(path)
+
+    def test_non_utf8_text_rejected(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(f"N=1 FREQ=24 START={MONDAY}\n1.0\n".encode() + b"\xe9\xff\n")
+        with pytest.raises(DataError, match="UTF-8"):
+            load_series(path)
 
     def test_two_step_single_node(self, tmp_path):
         path = tmp_path / "two.txt"

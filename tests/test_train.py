@@ -1,6 +1,7 @@
 """Training loop behavior: schedule, early stopping, convergence,
 train/inference consistency, graph release, and resource accounting."""
 import importlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,7 +9,14 @@ import pytest
 
 import foldcast.tensor as T
 import foldcast.visibility as V
-from foldcast.data import TrafficSeries, apply_zscore, fit_normalizer, make_windows
+from foldcast.data import (
+    SampleWindow,
+    TrafficSeries,
+    apply_zscore,
+    fit_normalizer,
+    make_windows,
+    stack_windows,
+)
 from foldcast.errors import DivergenceError
 from foldcast.synth import generate_series
 from foldcast.train import (
@@ -259,6 +267,15 @@ class TestAccounting:
         assert rows[0][3] * len(result.windows[0]) == result.log_rows[-1][7]
 
 
+def random_windows(rng, n_nodes, cfg, count):
+    """``count`` windows of standard-normal values at random phases."""
+    return [
+        SampleWindow(rng.normal(size=(n_nodes, cfg.t_in)), rng.normal(size=(n_nodes, cfg.horizon)),
+                     cfg.t_in - 1, int(rng.integers(0, 24)), int(rng.integers(0, 7)))
+        for _ in range(count)
+    ]
+
+
 class TestActivationCount:
     @pytest.mark.parametrize(
         "overrides",
@@ -275,13 +292,34 @@ class TestActivationCount:
         cfg = tiny_config(embed_dim=8, ffn_dim=16, batch_size=batch, **overrides)
         rng = np.random.default_rng(0)
         forecaster = Forecaster.build(cfg, n, 24, rng)
-        inputs = rng.normal(size=(batch, n, cfg.t_in))
-        targets = rng.normal(size=(batch, n, cfg.horizon))
-        tod, dow = rng.integers(0, 24, batch), rng.integers(0, 7, batch)
-        loss, _ = training_forward(forecaster, cfg, inputs, targets, tod, dow, rng)
+        windows = random_windows(rng, n, cfg, batch)
+        loss, _ = training_forward(forecaster, cfg, *stack_windows(windows), rng)
         walked = retained_words(loss, forecaster.params)
-        counted = activation_float_count(forecaster.dims, cfg, batch)
-        assert abs(counted - walked) <= 0.1 * walked, (counted, walked)
+        measured = activation_float_count(forecaster, cfg, windows)
+        assert abs(measured - walked) <= 0.1 * walked, (measured, walked)
+
+    def test_callers_tracing_keeps_running(self):
+        cfg = tiny_config(batch_size=4)
+        rng = np.random.default_rng(0)
+        forecaster = Forecaster.build(cfg, 10, 24, rng)
+        tracemalloc.start()
+        try:
+            kept = np.ones(1000)
+            assert activation_float_count(forecaster, cfg, random_windows(rng, 10, cfg, 4)) > 0
+            assert tracemalloc.is_tracing()
+            # still the caller's session: what it traced before is still traced
+            assert tracemalloc.get_object_traceback(kept) is not None
+        finally:
+            tracemalloc.stop()
+
+    def test_bench_non_increasing_in_ratio(self):
+        # the paper's resource trend: masking more nodes holds fewer activations
+        cfg = tiny_config(batch_size=4)
+        grid = [(r, 4) for r in (0.0, 0.2, 0.5)]
+        rows = TRAIN_MODULE.bench(cfg, sinusoid_series(n_nodes=20), grid, epochs=1)
+        words = [row[5] for row in rows]
+        assert all(b <= a for a, b in zip(words, words[1:])), words
+        assert words[-1] < words[0], words
 
     def test_sf_graph_keeps_one_input_copy(self):
         n, batch = 10, 4
