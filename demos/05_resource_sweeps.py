@@ -7,10 +7,11 @@ Run: python demos/05_resource_sweeps.py   (about a minute single-threaded)
 """
 from foldcast.synth import generate_series
 from foldcast.train import (
+    BENCH_COLUMNS,
     TrainConfig,
     attention_pair_count,
     bench,
-    format_bench_rows,
+    format_rows,
     visible_token_count,
 )
 
@@ -30,7 +31,7 @@ def main():
     )
     print("\n-- bench over mask ratios (measured wall time, min of 3 epochs) --")
     rows = bench(cfg, series, [(r, 4) for r in (0.0, 0.2, 0.5, 0.8)], epochs=3)
-    print(format_bench_rows(rows), end="")
+    print(format_rows(BENCH_COLUMNS, rows), end="")
 
     tokens = [row[3] for row in rows]
     seconds = [row[6] for row in rows]

@@ -59,6 +59,8 @@ def read_checkpoint(path):
                 raise CheckpointError(f"{path}: parameter name is not UTF-8") from exc
             (ndim,) = struct.unpack("<B", need(fh, 1, "manifest"))
             shape = struct.unpack(f"<{ndim}Q", need(fh, 8 * ndim, "manifest"))
+            if name in manifest:
+                raise CheckpointError(f"{path}: parameter {name} named twice in the manifest")
             manifest[name] = tuple(int(d) for d in shape)
         size = os.fstat(fh.fileno()).st_size
         blobs = {}
@@ -73,6 +75,8 @@ def read_checkpoint(path):
                 blobs[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
             except ValueError as exc:  # an empty array with a dimension numpy cannot hold
                 raise CheckpointError(f"{path}: bad shape {shape} for {name}") from exc
+        if fh.tell() != size:
+            raise CheckpointError(f"{path}: {size - fh.tell()} trailing bytes after the last array")
     return manifest, blobs
 
 

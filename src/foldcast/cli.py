@@ -23,11 +23,12 @@ from .metrics import MAPE_FLOOR, MetricAccumulator
 from .synth import generate_series
 from .tokenize import export_embeddings
 from .train import (
+    BENCH_COLUMNS,
+    TRAIN_LOG_COLUMNS,
     Forecaster,
     bench,
     evaluate,
-    format_bench_rows,
-    format_log_rows,
+    format_rows,
     sample_geometry,
     train,
 )
@@ -129,6 +130,16 @@ def _write(path, text):
         fh.write(text)
 
 
+def _write_rows(out_dir, name, columns, rows):
+    """Write ``rows`` as CSV text to ``out_dir/name`` and echo them."""
+    text = format_rows(columns, rows)
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    _write(path, text)
+    print(text, end="")
+    print(f"wrote {path}")
+
+
 def _fmt(v):
     return repr(v) if isinstance(v, float) else str(v)
 
@@ -139,7 +150,7 @@ def cmd_train(args):
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, SNAPSHOT_NAME), C.snapshot(run))
     result = train(run.train, series)
-    _write(os.path.join(args.out, LOG_NAME), format_log_rows(result.log_rows))
+    _write(os.path.join(args.out, LOG_NAME), format_rows(TRAIN_LOG_COLUMNS, result.log_rows))
     save_checkpoint(result.forecaster.params, os.path.join(args.out, CHECKPOINT_NAME))
     test_w = result.windows[2] or result.windows[1] or result.windows[0]
     test = evaluate(result.forecaster, test_w, result.stats)
@@ -195,21 +206,35 @@ def cmd_eval(args):
     return 0
 
 
+def _variants(cfg, key, raw_values):
+    """(raw, config) for each comma-separated value of config key ``key``:
+    ``cfg`` with that value, parsed as the config file parses it and
+    validated; a bad value raises ConfigError."""
+    variants = []
+    for raw in raw_values.split(","):
+        raw = raw.strip()
+        try:
+            variant = replace(cfg, **{key: C.SCHEMA[key][0](raw)})
+            variant.validate()
+        except ValueError as exc:
+            raise ConfigError(f"bad {key} value {raw!r}: {exc}") from exc
+        variants.append((raw, variant))
+    return variants
+
+
 def cmd_bench(args):
     run = _resolve(args)
+    if args.epochs < 1:
+        raise ConfigError(f"--epochs must be >= 1, got {args.epochs}")
+    sizes = args.subgraph_sizes or str(run.train.subgraph_size)
+    grid = [
+        (cfg.mask_ratio, cfg.subgraph_size)
+        for _, sized in _variants(run.train, "subgraph_size", sizes)
+        for _, cfg in _variants(sized, "mask_ratio", args.mask_ratios)
+    ]
     series = load_series(run.dataset)
-    ratios = [float(v) for v in args.mask_ratios.split(",")]
-    if args.subgraph_sizes:
-        sizes = [int(v) for v in args.subgraph_sizes.split(",")]
-    else:
-        sizes = [run.train.subgraph_size]
-    grid = [(r, s) for s in sizes for r in ratios]
     rows = bench(run.train, series, grid, epochs=args.epochs)
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "bench.csv")
-    _write(out_path, format_bench_rows(rows))
-    print(format_bench_rows(rows), end="")
-    print(f"wrote {out_path}")
+    _write_rows(args.out, "bench.csv", BENCH_COLUMNS, rows)
     return 0
 
 
@@ -219,21 +244,13 @@ _ABLATE_DEFAULTS = {
     "mask_strategy": ",".join(STRATEGIES),
     "folding": "TFG,SF",
 }
+ABLATE_COLUMNS = "axis,value,test_rmse,test_mae,test_mape,tokens,epoch_seconds,wall_seconds"
 
 
 def cmd_ablate(args):
     run = _resolve(args)
+    variants = _variants(run.train, args.axis, args.values or _ABLATE_DEFAULTS[args.axis])
     series = load_series(run.dataset)
-    raw_values = (args.values or _ABLATE_DEFAULTS[args.axis]).split(",")
-    variants = []
-    for raw in raw_values:
-        raw = raw.strip()
-        try:
-            cfg = replace(run.train, **{args.axis: C.SCHEMA[args.axis][0](raw)})
-            cfg.validate()
-        except ValueError as exc:
-            raise ConfigError(f"bad {args.axis} value {raw!r}: {exc}") from exc
-        variants.append((raw, cfg))
     rows = []
     for raw, cfg in variants:
         result = train(cfg, series)
@@ -252,14 +269,7 @@ def cmd_ablate(args):
                 float(np.mean(result.wall_seconds)),
             ]
         )
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, f"ablate_{args.axis}.csv")
-    lines = ["axis,value,test_rmse,test_mae,test_mape,tokens,epoch_seconds,wall_seconds"]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write(out_path, "\n".join(lines) + "\n")
-    print("\n".join(lines))
-    print(f"wrote {out_path}")
+    _write_rows(args.out, f"ablate_{args.axis}.csv", ABLATE_COLUMNS, rows)
     return 0
 
 

@@ -88,20 +88,17 @@ class NormStats:
     std: float
 
 
-def load_series(path, format="auto"):
-    """Load a series from ``path``; ``format`` is 'text', 'binary', or 'auto'
-    (sniffs the binary magic)."""
-    if format == "auto":
-        with open(path, "rb") as fh:
-            format = "binary" if fh.read(5) == BINARY_MAGIC else "text"
-    if format == "binary":
+def load_series(path):
+    """Load a series from ``path``: binary if it starts with the binary
+    magic, text otherwise."""
+    with open(path, "rb") as fh:
+        binary = fh.read(5) == BINARY_MAGIC
+    if binary:
         return _load_binary(path)
-    if format == "text":
-        try:
-            return _load_text(path)
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
-    raise DataError(f"unknown series format {format!r}")
+    try:
+        return _load_text(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _load_text(path):

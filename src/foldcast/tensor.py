@@ -19,15 +19,17 @@ Two fused ops keep the tape short: ``linear`` (x @ w + b as one node) and
 with a hand-written backward).
 
 Gradient ownership: a node's ``.grad`` array belongs to that node alone.
-A gradient an op freshly allocates becomes the receiving node's gradient
-without a copy; a view, a broadcast or an array handed to more than one
-parent is copied first. ``backward()`` drops each interior gradient as
-soon as its closure has run, so a closure may overwrite its incoming
-``g`` or pass it on to one parent as that parent's own. After
-``backward()`` only leaf tensors keep ``.grad``, so calling
-``backward()`` again on the same graph adds exactly one more gradient to
-each leaf. ``Tensor(data)`` copies ``data``; an op wraps a raw float64,
-C-ordered array operand without a copy.
+A node takes over its first gradient without a copy and adds later ones
+into it in place, so an op hands each parent an array no other node
+holds. ``backward()`` drops each interior gradient once its closure has
+run, so a closure may overwrite its incoming ``g`` or pass it (or a view
+of it) on to one parent. Only ``add`` (for its earlier parent, when both
+take ``g`` unreduced), ``concat_lastdim`` (each slice) and ``transpose``
+(its inverse view) copy a gradient before handing it on. After
+``backward()`` only leaf tensors keep ``.grad``, so calling ``backward()``
+again on the same graph adds exactly one more gradient to each leaf.
+``Tensor(data)`` copies ``data``; an op wraps a raw float64, C-ordered
+array operand without a copy.
 """
 from __future__ import annotations
 
@@ -167,19 +169,13 @@ def _from_op(data, nodes, backward):
     return out
 
 
-def _accumulate(node, g, owned=False):
-    """Add ``g`` into ``node.grad``.
-
-    ``owned`` says ``g`` belongs to the calling op (allocated afresh, or
-    its own incoming gradient) and goes to no other node, so a first
-    gradient is taken over without a copy. Anything else (a view of an
-    operand, a broadcast, an array shared between parents) is copied
-    before ``node.grad`` may be updated in place.
-    """
+def _accumulate(node, g):
+    """Add ``g`` into ``node.grad``; a first gradient is taken over as the
+    node's own (see "Gradient ownership" above)."""
     if not node.requires_grad:
         return
     if node.grad is None:
-        node.grad = g if owned and isinstance(g, np.ndarray) else np.array(g)
+        node.grad = np.asarray(g)
     else:
         node.grad += g
 
@@ -205,10 +201,10 @@ def add(a, b):
         # ``g`` itself goes, uncopied, to the last parent that takes it
         # unreduced; an earlier one gets a copy (``add(x, x)`` gives 2g)
         if na is not None:
-            owned = a_shape != g.shape or nb is None
-            _accumulate(na, _unbroadcast(g, a_shape), owned=owned)
+            ga = _unbroadcast(g, a_shape)
+            _accumulate(na, np.array(ga) if nb is not None and a_shape == g.shape else ga)
         if nb is not None:
-            _accumulate(nb, _unbroadcast(g, b_shape), owned=True)
+            _accumulate(nb, _unbroadcast(g, b_shape))
 
     return _from_op(data, (na, nb), backward)
 
@@ -224,69 +220,59 @@ def mul(a, b):
 
     def backward(g):
         if na is not None:
-            _accumulate(na, _unbroadcast(g * b_data, a_shape), owned=True)
+            _accumulate(na, _unbroadcast(g * b_data, a_shape))
         if nb is not None:
-            _accumulate(nb, _unbroadcast(g * a_data, b_shape), owned=True)
+            _accumulate(nb, _unbroadcast(g * a_data, b_shape))
 
     return _from_op(data, (na, nb), backward)
 
 
 def matmul(a, b):
-    """Matrix product with broadcasting over leading batch dimensions."""
+    """Matrix product with broadcasting over leading batch dimensions; a
+    2-D right operand is a bias-free ``linear``."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs ndim >= 2 operands, got {a.shape} @ {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    if b.ndim == 2:
+        return linear(a, b)
     na, nb = _grad_node(a), _grad_node(b)
     a_shape, b_shape = a.data.shape, b.data.shape
-    b_data = b.data if na is not None else None
-
-    if b.ndim == 2 and a.ndim > 2:
-        # flatten leading dims: one 2-D GEMM beats many strided batched ones
-        k, n = b_shape
-        a2 = np.ascontiguousarray(a.data).reshape(-1, k)
-        data = (a2 @ b.data).reshape(a_shape[:-1] + (n,))
-        a_rows = a2 if nb is not None else None
-
-        def backward(g):
-            g2 = g.reshape(-1, n)
-            if na is not None:
-                _accumulate(na, (g2 @ b_data.T).reshape(a_shape), owned=True)
-            if nb is not None:
-                _accumulate(nb, a_rows.T @ g2, owned=True)
-
-        return _from_op(data, (na, nb), backward)
-
     data = a.data @ b.data
     a_data = a.data if nb is not None else None
+    b_data = b.data if na is not None else None
 
     def backward(g):
         if na is not None:
-            _accumulate(na, _unbroadcast(g @ b_data.swapaxes(-1, -2), a_shape), owned=True)
+            _accumulate(na, _unbroadcast(g @ b_data.swapaxes(-1, -2), a_shape))
         if nb is not None:
-            _accumulate(nb, _unbroadcast(a_data.swapaxes(-1, -2) @ g, b_shape), owned=True)
+            _accumulate(nb, _unbroadcast(a_data.swapaxes(-1, -2) @ g, b_shape))
 
     return _from_op(data, (na, nb), backward)
 
 
-def linear(x, w, b):
+def linear(x, w, b=None):
     """``x @ w + b`` as one node: one GEMM, the bias added in place.
 
-    ``w`` is (k, n) and ``b`` is (n,); leading dimensions of ``x`` are
-    flattened into the GEMM's rows, exactly as ``matmul`` does.
+    ``w`` is (k, n) and ``b`` is (n,), or None for no bias; leading
+    dimensions of ``x`` are flattened into the GEMM's rows.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    x, w = _as_tensor(x), _as_tensor(w)
+    b = None if b is None else _as_tensor(b)
     if x.ndim < 2 or w.ndim != 2:
         raise ShapeError(f"linear needs ndim >= 2 input, 2-D weight: {x.shape} @ {w.shape}")
     k, n = w.data.shape
-    if x.data.shape[-1] != k or b.data.shape != (n,):
-        raise ShapeError(f"linear shapes disagree: {x.shape} @ {w.shape} + {b.shape}")
-    nx, nw, nb = _grad_node(x), _grad_node(w), _grad_node(b)
+    b_shape = None if b is None else b.data.shape
+    if x.data.shape[-1] != k or b_shape not in (None, (n,)):
+        raise ShapeError(f"linear shapes disagree: {x.shape} @ {w.shape} + {b_shape}")
+    nx, nw = _grad_node(x), _grad_node(w)
+    nb = None if b is None else _grad_node(b)
     x_shape = x.data.shape
     x2 = x.data if x.ndim == 2 else np.ascontiguousarray(x.data).reshape(-1, k)
     data = x2 @ w.data
-    data += b.data
+    if b is not None:
+        data += b.data
     data = data.reshape(x_shape[:-1] + (n,))
     w_data = w.data if nx is not None else None
     x_rows = x2 if nw is not None else None
@@ -294,11 +280,11 @@ def linear(x, w, b):
     def backward(g):
         g2 = g.reshape(-1, n)
         if nx is not None:
-            _accumulate(nx, (g2 @ w_data.T).reshape(x_shape), owned=True)
+            _accumulate(nx, (g2 @ w_data.T).reshape(x_shape))
         if nw is not None:
-            _accumulate(nw, x_rows.T @ g2, owned=True)
+            _accumulate(nw, x_rows.T @ g2)
         if nb is not None:
-            _accumulate(nb, g.sum(axis=tuple(range(g.ndim - 1))), owned=True)
+            _accumulate(nb, g.sum(axis=tuple(range(g.ndim - 1))))
 
     return _from_op(data, (nx, nw, nb), backward)
 
@@ -312,7 +298,7 @@ def tsum(t, axis=None, keepdims=False):
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(node, np.broadcast_to(g, shape).copy(), owned=True)
+        _accumulate(node, np.broadcast_to(g, shape).copy())
 
     return _from_op(np.asarray(data), (node,), backward)
 
@@ -324,7 +310,7 @@ def reshape(t, shape):
     data = t.data.reshape(shape)
 
     def backward(g):
-        _accumulate(node, g.reshape(in_shape), owned=True)
+        _accumulate(node, g.reshape(in_shape))
 
     return _from_op(data, (node,), backward)
 
@@ -336,7 +322,7 @@ def transpose(t, axes):
     inverse = np.argsort(axes)
 
     def backward(g):
-        _accumulate(node, np.transpose(g, inverse))
+        _accumulate(node, np.array(np.transpose(g, inverse)))
 
     return _from_op(data, (node,), backward)
 
@@ -359,7 +345,7 @@ def concat_lastdim(parts):
     def backward(g):
         for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             if node is not None:
-                _accumulate(node, g[..., lo:hi])
+                _accumulate(node, np.array(g[..., lo:hi]))
 
     return _from_op(data, nodes, backward)
 
@@ -373,7 +359,7 @@ def slice_lastdim(t, start, stop):
     def backward(g):
         full = np.zeros(shape)
         full[..., start:stop] = g
-        _accumulate(node, full, owned=True)
+        _accumulate(node, full)
 
     return _from_op(data, (node,), backward)
 
@@ -396,7 +382,7 @@ def gather_rows(t, index):
     def backward(g):
         full = np.zeros(shape)
         np.add.at(full, index, g)
-        _accumulate(node, full, owned=True)
+        _accumulate(node, full)
 
     return _from_op(data, (node,), backward)
 
@@ -411,7 +397,7 @@ def softmax_lastdim(x):
 
     def backward(g):
         inner = (g * data).sum(axis=-1, keepdims=True)
-        _accumulate(node, (g - inner) * data, owned=True)
+        _accumulate(node, (g - inner) * data)
 
     return _from_op(data, (node,), backward)
 
@@ -457,7 +443,7 @@ def attention(qkv, heads):
         dp *= scale
         np.matmul(dp, kt.swapaxes(-1, -2), out=d[0])
         d[1] = (q.swapaxes(-1, -2) @ dp).swapaxes(-1, -2)
-        _accumulate(node, dqkv.reshape(groups, s, three_w), owned=True)
+        _accumulate(node, dqkv.reshape(groups, s, three_w))
 
     return _from_op(data, (node,), backward)
 
@@ -485,9 +471,9 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     def backward(g):
         lead = tuple(range(g.ndim - 1))
         if nb is not None:
-            _accumulate(nb, g.sum(axis=lead), owned=True)
+            _accumulate(nb, g.sum(axis=lead))
         if ng is not None:
-            _accumulate(ng, (g * xhat).sum(axis=lead), owned=True)
+            _accumulate(ng, (g * xhat).sum(axis=lead))
         if nx is not None:
             dxhat = g * gamma_data
             dx = inv * (
@@ -495,7 +481,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
                 - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
             )
-            _accumulate(nx, dx, owned=True)
+            _accumulate(nx, dx)
 
     return _from_op(data, (nx, ng, nb), backward)
 
@@ -531,7 +517,7 @@ def gelu(x):
 
     def backward(g):
         g *= deriv
-        _accumulate(node, g, owned=True)
+        _accumulate(node, g)
 
     return _from_op(data, (node,), backward)
 
@@ -564,7 +550,7 @@ def huber_loss(pred, target, delta, include=None):
     data = np.asarray((per * inc).sum() / count)
 
     def backward(g):
-        _accumulate(node, g * inc * np.clip(err, -delta, delta) / count, owned=True)
+        _accumulate(node, g * inc * np.clip(err, -delta, delta) / count)
 
     return _from_op(data, (node,), backward)
 

@@ -66,8 +66,10 @@ class TrainConfig:
             raise ValueError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
         if self.subgraph_size < 1:
             raise ValueError("subgraph_size must be >= 1")
-        if self.huber_delta <= 0:
-            raise ValueError("huber_delta must be positive")
+        for name in ("lr", "decay", "huber_delta"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:  # written so that NaN fails too
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if list(self.milestones) != sorted(self.milestones):
             raise ValueError("milestones must be ascending")
         if self.folding not in (M.TFG, M.SF):
@@ -223,7 +225,6 @@ def evaluate(forecaster, windows, stats, batch_size=64, accumulator=None, per_ho
 
 @dataclass
 class TrainResult:
-    config: TrainConfig
     forecaster: Forecaster
     stats: object
     windows: tuple
@@ -326,7 +327,6 @@ def train(config, series, progress=None):
 
     params.load_data(best_blobs)
     return TrainResult(
-        config=config,
         forecaster=forecaster,
         stats=stats,
         windows=(train_w, val_w, test_w),
@@ -338,10 +338,11 @@ def train(config, series, progress=None):
     )
 
 
-def format_log_rows(rows):
-    """Training-log CSV text; repr() keeps floats shortest-round-trip so
-    identical runs serialize identically."""
-    lines = [TRAIN_LOG_COLUMNS]
+def format_rows(columns, rows):
+    """CSV text: the ``columns`` header line, then one line per row; repr()
+    keeps floats shortest-round-trip so identical runs serialize
+    identically."""
+    lines = [columns]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
@@ -457,9 +458,3 @@ def bench(config, series, grid, epochs=3):
         )
     return rows
 
-
-def format_bench_rows(rows):
-    lines = [BENCH_COLUMNS]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"

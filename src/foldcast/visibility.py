@@ -97,14 +97,19 @@ def plan_visibility(n_nodes, mask_ratio, subgraph_size, rng):
 
 
 def _stacked_slots(plans, batch, n_nodes):
-    """(B, K, s) slot ids of one plan per batch element, each drawn for
-    ``n_nodes`` nodes."""
+    """(rows, live), each (B, K, s), for one plan per batch element, each
+    drawn for ``n_nodes`` nodes: ``rows`` indexes the (B*N)-row table of
+    the batch's node rows, a pad slot pointing at row 0 of its sample, and
+    ``live`` is False at pad slots."""
     if len(plans) != batch or any(p.n_nodes != n_nodes for p in plans):
         raise T.ShapeError(
             f"need one plan per sample ({batch}), each built for {n_nodes} "
             f"nodes; got {len(plans)} for {sorted({p.n_nodes for p in plans})}"
         )
-    return np.stack([p.slots for p in plans])
+    slots = np.stack([p.slots for p in plans])
+    live = slots != PAD
+    offsets = (np.arange(batch) * n_nodes)[:, None, None]
+    return np.where(live, slots, 0) + offsets, live
 
 
 def apply_visibility(fused, plan):
@@ -119,13 +124,10 @@ def apply_visibility_batch(fused, plans):
     plans must share (N, r, s) so K and s agree across the batch.
     """
     b, n, width = fused.shape
-    slots = _stacked_slots(plans, b, n)
-    _, k, s = slots.shape
+    rows, live = _stacked_slots(plans, b, n)
+    _, k, s = rows.shape
     flat = T.reshape(fused, (b * n, width))
-    offsets = (np.arange(b) * n)[:, None, None]
-    safe = np.where(slots == PAD, 0, slots) + offsets
-    live = (slots != PAD).astype(np.float64)[..., None]
-    gathered = T.mul(T.gather_rows(flat, safe), live)
+    gathered = T.mul(T.gather_rows(flat, rows), live.astype(np.float64)[..., None])
     return T.reshape(gathered, (b * k, s, width))
 
 
@@ -167,12 +169,8 @@ def gather_targets(targets, plans):
     slots zeroed and excluded.
     """
     b, n, horizon = targets.shape
-    slots = _stacked_slots(plans, b, n)
-    _, k, s = slots.shape
-    safe = np.where(slots == PAD, 0, slots)
-    out = np.take_along_axis(
-        targets[:, :, :], safe.reshape(b, k * s)[..., None], axis=1
-    ).reshape(b * k, s, horizon)
-    include = (slots != PAD).reshape(b * k, s)
-    out = out * include[..., None]
-    return out, include
+    rows, live = _stacked_slots(plans, b, n)
+    _, k, s = rows.shape
+    include = live.reshape(b * k, s)
+    out = targets.reshape(b * n, horizon)[rows].reshape(b * k, s, horizon)
+    return out * include[..., None], include

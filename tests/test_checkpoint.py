@@ -84,6 +84,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="UTF-8"):
             read_checkpoint(path)
 
+    def test_name_twice_rejected(self, tmp_path):
+        entry = struct.pack("<H", 1) + b"a" + struct.pack("<BQ", 1, 2)
+        path = tmp_path / "ck.bin"
+        path.write_bytes(bytes([VERSION]) + struct.pack("<I", 2) + entry + entry + bytes(32))
+        with pytest.raises(CheckpointError, match="named twice"):
+            read_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        path.write_bytes(crafted_checkpoint(b"a", (2,), bytes(16) + b"\x00"))
+        with pytest.raises(CheckpointError, match="1 trailing bytes"):
+            read_checkpoint(path)
+
     def test_manifest_mismatch_rejected(self, tmp_path):
         params = small_params()
         path = tmp_path / "ck.bin"

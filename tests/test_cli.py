@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 import csv
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +154,15 @@ class TestTrain:
             )
         assert code == 4
 
+    @pytest.mark.parametrize("setting", ["lr=-1", "huber_delta=nan"])
+    def test_bad_optimiser_value_exits_2(self, workspace, capsys, setting):
+        tmp_path, cfg, _ = workspace
+        out = tmp_path / "x"
+        code = main(["train", "--config", str(cfg), "--set", setting, "--out", str(out)])
+        assert code == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_snapshot_reproduces_run_byte_for_byte(self, workspace):
         tmp_path, cfg, _ = workspace
         first = tmp_path / "first"
@@ -255,6 +265,22 @@ class TestBench:
         # N=6: r=0 -> 6 tokens; r=0.5 -> 3 kept -> 3 tokens
         assert rows[1][3] == "6"
         assert rows[2][3] == "3"
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--mask-ratios", "1.5"), ("--mask-ratios", "x"),
+         ("--subgraph-sizes", "0"), ("--epochs", "0")],
+    )
+    def test_bad_grid_exits_2_before_training(self, workspace, monkeypatch, flag, value):
+        def no_training(*args, **kwargs):
+            raise AssertionError("bench trained before validating its grid")
+
+        monkeypatch.setattr(sys.modules["foldcast.train"], "train", no_training)
+        tmp_path, cfg, _ = workspace
+        out = tmp_path / "bench"
+        code = main(["bench", "--config", str(cfg), flag, value, "--out", str(out)])
+        assert code == 2
+        assert not (out / "bench.csv").exists()
 
 
 class TestAblate:

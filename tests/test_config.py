@@ -54,6 +54,12 @@ class TestResolve:
         with pytest.raises(ConfigError, match=key):
             resolve({}, {key: raw})
 
+    @pytest.mark.parametrize("key", ["lr", "decay", "huber_delta"])
+    @pytest.mark.parametrize("raw", ["0", "-1", "nan", "inf"])
+    def test_optimiser_values_must_be_finite_and_positive(self, key, raw):
+        with pytest.raises(ConfigError, match=key):
+            resolve({}, {key: raw})
+
     def test_zero_layers_allowed(self):
         assert resolve({}, {"layers": "0"}).train.layers == 0
 

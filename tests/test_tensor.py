@@ -289,6 +289,19 @@ class TestLinear:
         assert max_rel_err(wt.grad, central_diff(lambda v: f(x, v, b), w)) < 1e-6
         assert max_rel_err(bt.grad, central_diff(lambda v: f(x, w, v), b)) < 1e-6
 
+    @pytest.mark.parametrize("lead", [(4,), (2, 3)])
+    def test_no_bias_grads_match_fd(self, lead):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal(lead + (5,))
+        w = rng.standard_normal((5, 3))
+        proj = rng.standard_normal(lead + (3,))
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = T.linear(xt, wt)
+        assert np.allclose(out.data, x @ w, rtol=0, atol=1e-12)
+        proj_loss(out, proj).backward()
+        assert max_rel_err(xt.grad, central_diff(lambda v: float((v @ w * proj).sum()), x)) < 1e-6
+        assert max_rel_err(wt.grad, central_diff(lambda v: float((x @ v * proj).sum()), w)) < 1e-6
+
     def test_bitwise_equal_to_matmul_then_add(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((3, 4, 6))
@@ -366,7 +379,7 @@ class TestOwnedGradients:
 
     def test_diamond_with_extra_contribution(self):
         # h = a + b feeds both branches; a also reaches the loss directly,
-        # so a's first (possibly owned) gradient is later added to in place.
+        # so whichever gradient reaches a first is later added to in place.
         rng = np.random.default_rng(17)
         a0, b0 = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
         w1, w2, w3 = (rng.standard_normal((2, 3)) for _ in range(3))
@@ -396,6 +409,31 @@ class TestOwnedGradients:
         fd = central_diff(lambda v: 2 * float(((v + c) * w).sum()), x)
         assert max_rel_err(xt.grad, fd) < 1e-8
         assert np.array_equal(c, c_before)
+
+    def test_add_leaf_keeps_its_gradient_when_the_other_parent_overwrites(self):
+        # gelu's backward scales its incoming ``g`` in place, so y must not
+        # be handed that same array
+        rng = np.random.default_rng(23)
+        x0, y0, w = rng.standard_normal((3, 3, 4))
+        xt, yt = Tensor(x0, requires_grad=True), Tensor(y0, requires_grad=True)
+        proj_loss(T.add(T.gelu(xt), yt), w).backward()
+        assert np.array_equal(yt.grad, w)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda x, y: T.concat_lastdim([x, y]), lambda x, y: T.transpose(x, (1, 0))],
+        ids=["concat_lastdim", "transpose"],
+    )
+    def test_leaf_gradient_is_an_array_of_its_own(self, build):
+        # both ops copy the view of ``g`` they hand on, so a leaf keeps no
+        # view of the op's gradient (a concat slice would keep its
+        # siblings' gradients alive with it)
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        y = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        out = build(x, y)
+        T.tsum(T.mul(out, rng.standard_normal(out.shape))).backward()
+        assert base_array(x.grad) is x.grad
 
     def test_concat_siblings_do_not_share(self):
         rng = np.random.default_rng(18)

@@ -20,6 +20,7 @@ from foldcast.data import (
 from foldcast.errors import DivergenceError
 from foldcast.synth import generate_series
 from foldcast.train import (
+    TRAIN_LOG_COLUMNS,
     Forecaster,
     TrainConfig,
     activation_float_count,
@@ -27,7 +28,7 @@ from foldcast.train import (
     effective_subgraph_size,
     estimate_epoch_seconds,
     evaluate,
-    format_log_rows,
+    format_rows,
     lr_at_epoch,
     sample_geometry,
     snapshot_token_count,
@@ -149,15 +150,15 @@ class TestTrainLoop:
     def test_same_seed_identical_logs(self):
         cfg = tiny_config(max_epochs=3)
         series = sinusoid_series(seed=6)
-        a = format_log_rows(train(cfg, series).log_rows)
-        b = format_log_rows(train(cfg, series).log_rows)
+        a = format_rows(TRAIN_LOG_COLUMNS, train(cfg, series).log_rows)
+        b = format_rows(TRAIN_LOG_COLUMNS, train(cfg, series).log_rows)
         assert a == b
 
     def test_different_seed_differs(self):
         series = sinusoid_series(seed=6)
-        a = format_log_rows(train(tiny_config(max_epochs=2, seed=1), series).log_rows)
-        b = format_log_rows(train(tiny_config(max_epochs=2, seed=2), series).log_rows)
-        assert a != b
+        a = train(tiny_config(max_epochs=2, seed=1), series).log_rows
+        b = train(tiny_config(max_epochs=2, seed=2), series).log_rows
+        assert format_rows(TRAIN_LOG_COLUMNS, a) != format_rows(TRAIN_LOG_COLUMNS, b)
 
     def test_sf_mode_trains(self):
         cfg = tiny_config(folding="SF", embed_dim=4, heads=2, max_epochs=3)
