@@ -43,7 +43,11 @@ def read_checkpoint(path):
             raise CheckpointError(f"{path}: truncated {what}")
         return buf
 
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:  # a directory, an unreadable file
+        raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
+    with fh:
         version = need(fh, 1, "version byte")[0]
         if version != VERSION:
             raise CheckpointError(

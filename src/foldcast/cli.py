@@ -249,6 +249,9 @@ ABLATE_COLUMNS = "axis,value,test_rmse,test_mae,test_mape,tokens,epoch_seconds,w
 
 def cmd_ablate(args):
     run = _resolve(args)
+    if run.train.max_epochs < 1:
+        # each row reports the analytic epoch time of a trained epoch
+        raise ConfigError(f"ablate needs max_epochs >= 1, got {run.train.max_epochs}")
     variants = _variants(run.train, args.axis, args.values or _ABLATE_DEFAULTS[args.axis])
     series = load_series(run.dataset)
     rows = []

@@ -50,19 +50,26 @@ class TrafficSeries:
     def node_count(self):
         return self.values.shape[1]
 
-    @property
-    def step_seconds(self):
-        return SECONDS_PER_DAY // self.frequency
+    def phases(self, rows):
+        """(tod, dow) phases of series rows ``rows`` (an int or an array),
+        tod in [0, frequency) and dow in [0, 7), advanced from row 0's."""
+        tod, dow = start_phase(self.start, self.frequency)
+        return advance_phase(tod, dow, rows, self.frequency)
 
-    def tod_index(self, k):
-        """Time-of-day phase of row k, in [0, frequency)."""
-        offset = (self.start % SECONDS_PER_DAY) // self.step_seconds
-        return int((offset + k) % self.frequency)
 
-    def dow_index(self, k):
-        """Day-of-week of row k, 0 = Monday (epoch day 0 was a Thursday)."""
-        day = (self.start + k * self.step_seconds) // SECONDS_PER_DAY
-        return int((day + 3) % 7)
+def start_phase(start, frequency):
+    """(tod, dow) phase of epoch second ``start`` at ``frequency`` samples
+    per day; dow 0 = Monday (epoch day 0 was a Thursday)."""
+    day, second = divmod(start, SECONDS_PER_DAY)
+    return second * frequency // SECONDS_PER_DAY, (day + 3) % 7
+
+
+def advance_phase(tod, dow, steps, frequency):
+    """(tod, dow) phases ``steps`` rows after phase (tod, dow), elementwise
+    over arrays: tod advances one per row and dow rolls when tod wraps.
+    This is the one calendar rule; every phase in the package comes from it."""
+    raw = tod + steps
+    return raw % frequency, (dow + raw // frequency) % 7
 
 
 @dataclass
@@ -91,14 +98,14 @@ class NormStats:
 def load_series(path):
     """Load a series from ``path``: binary if it starts with the binary
     magic, text otherwise."""
-    with open(path, "rb") as fh:
-        binary = fh.read(5) == BINARY_MAGIC
-    if binary:
-        return _load_binary(path)
     try:
-        return _load_text(path)
+        with open(path, "rb") as fh:
+            binary = fh.read(5) == BINARY_MAGIC
+        return _load_binary(path) if binary else _load_text(path)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:  # a directory, an unreadable file
+        raise DataError(f"cannot read dataset: {exc}") from exc
 
 
 def _load_text(path):
@@ -237,15 +244,16 @@ def make_windows(series, t_in, horizon, split=(0.6, 0.2, 0.2)):
     span = t_in + horizon
     node_major = series.values.T
     node_major.flags.writeable = False
+    tods, dows = series.phases(np.arange(t_in - 1, t_in - 1 + total))
     out = ([], [], [])
-    for k in range(total):
+    for k, tod, dow in zip(range(total), tods.tolist(), dows.tolist()):
         end = k + span
         window = SampleWindow(
             input=node_major[:, k : k + t_in],
             target=node_major[:, k + t_in : end],
             anchor_t=k + t_in - 1,
-            tod_index=series.tod_index(k + t_in - 1),
-            dow_index=series.dow_index(k + t_in - 1),
+            tod_index=tod,
+            dow_index=dow,
         )
         if end <= r1:
             out[0].append(window)
@@ -267,24 +275,6 @@ def stack_windows(windows):
     )
 
 
-def _window_row_phases(window, t_in, frequency):
-    """(tod, dow) phase of every row covered by the window, keyed by row index.
-
-    Derived purely from the anchor phases: stepping one row forward
-    advances tod by one and rolls dow when tod wraps.
-    """
-    anchor = window.anchor_t
-    phases = {}
-    horizon = window.target.shape[1]
-    for k in range(anchor - t_in + 1, anchor + horizon + 1):
-        delta = k - anchor
-        raw = window.tod_index + delta
-        tod = raw % frequency
-        dow = (window.dow_index + raw // frequency) % 7
-        phases[k] = (tod, dow)
-    return phases
-
-
 class HAModel:
     """Per-node, per-(tod, dow)-phase training means with node-mean fallback."""
 
@@ -295,48 +285,45 @@ class HAModel:
 
     def predict(self, window):
         """N x T' forecast for the window's target rows."""
-        n = window.input.shape[0]
-        t_in = window.input.shape[1]
-        horizon = window.target.shape[1]
-        pred = np.empty((n, horizon))
-        phases = _window_row_phases(window, t_in, self.frequency)
-        for j in range(horizon):
-            tod, dow = phases[window.anchor_t + 1 + j]
-            col = self.phase_mean[tod, dow]
-            pred[:, j] = np.where(np.isnan(col), self.node_mean, col)
-        return pred
+        steps = np.arange(1, window.target.shape[1] + 1)
+        tod, dow = advance_phase(window.tod_index, window.dow_index, steps, self.frequency)
+        cols = self.phase_mean[tod, dow].T
+        return np.ascontiguousarray(np.where(np.isnan(cols), self.node_mean[:, None], cols))
 
 
 def ha_fit(train_windows, t_in, frequency):
     """Accumulate phase means from the rows the training windows cover.
 
     Overlapping windows see the same row values, so each distinct row is
-    counted once.
+    counted once, with the values and the phase of the first window that
+    covers it.
     """
     if not train_windows:
         raise DataError("HA baseline needs a non-empty training set")
-    n = train_windows[0].input.shape[0]
+    n, horizon = train_windows[0].target.shape
+    offsets = np.arange(1 - t_in, horizon + 1)  # covered rows, relative to the anchor
+    anchor, tod0, dow0 = np.array(
+        [(w.anchor_t, w.tod_index, w.dow_index) for w in train_windows]
+    ).T
+    covered = (anchor[:, None] + offsets).ravel()
+    _, first = np.unique(covered, return_index=True)
+    first.sort()  # each distinct row once, in the order the windows first cover it
+    rows = covered[first]
+    win, col = np.divmod(first, offsets.size)
+    tod, dow = advance_phase(tod0[win], dow0[win], offsets[col], frequency)
+    # a (row x N) table over the covered row range, written last window
+    # first so that each row holds the values of the first window covering it
+    lo = rows.min()
+    table = np.empty((rows.max() - lo + 1, n))
+    for w in reversed(train_windows):
+        k = w.anchor_t - t_in + 1 - lo
+        table[k : k + t_in] = w.input.T
+        table[k + t_in : k + t_in + horizon] = w.target.T
+    values = table[rows - lo]
     sums = np.zeros((frequency, 7, n))
     counts = np.zeros((frequency, 7, 1))
-    node_sum = np.zeros(n)
-    node_count = 0
-    seen = set()
-    for w in train_windows:
-        phases = _window_row_phases(w, t_in, frequency)
-        start = w.anchor_t - t_in + 1
-        for k, (tod, dow) in phases.items():
-            if k in seen:
-                continue
-            seen.add(k)
-            if k <= w.anchor_t:
-                row = w.input[:, k - start]
-            else:
-                row = w.target[:, k - w.anchor_t - 1]
-            sums[tod, dow] += row
-            counts[tod, dow] += 1
-            node_sum += row
-            node_count += 1
+    np.add.at(sums, (tod, dow), values)
+    np.add.at(counts, (tod, dow), 1)
     with np.errstate(invalid="ignore"):
         phase_mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return HAModel(phase_mean, node_sum / node_count, frequency)
-
+    return HAModel(phase_mean, values.sum(axis=0) / len(rows), frequency)

@@ -52,8 +52,7 @@ class ModelParams:
     """Ordered name -> Tensor mapping; the insertion order is the stable
     checkpoint manifest order."""
 
-    def __init__(self, dims):
-        self.dims = dims
+    def __init__(self):
         self.tensors = {}
 
     def add(self, name, data):
@@ -122,7 +121,7 @@ def build_params(dims, rng):
     """Initialize all learnable arrays: uniform(+-1/sqrt(fan_in)) for
     projections, normal(0, 0.02) for embedding tables, zeros for biases,
     ones/zeros for layer-norm affines."""
-    params = ModelParams(dims)
+    params = ModelParams()
     d = dims.embed_dim
     w = dims.width
     if dims.folding == TFG:

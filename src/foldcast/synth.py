@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import TrafficSeries
+from .data import TrafficSeries, advance_phase, start_phase
 
 # Monday 2021-01-04 00:00 UTC; keeps day-of-week phases aligned to Monday=0
 DEFAULT_START = 1609718400
@@ -31,10 +31,7 @@ def generate_series(n_nodes, days, frequency, noise, seed, start=DEFAULT_START):
     amp = rng.uniform(20.0, 50.0, size=n_nodes)
     phase = rng.uniform(0.0, 1.0, size=n_nodes)
 
-    series = TrafficSeries(np.zeros((steps, n_nodes)), frequency=frequency, start=start)
-    t = np.arange(steps)
-    tod = np.array([series.tod_index(k) for k in t])
-    dow = np.array([series.dow_index(k) for k in t])
+    tod, dow = advance_phase(*start_phase(start, frequency), np.arange(steps), frequency)
     frac = tod / frequency
     values = base[None, :] + (
         amp[None, :]

@@ -36,14 +36,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
-_DEBUG_CHECKS = False
-
-
-def set_debug_checks(enabled):
-    """Toggle post-op finiteness assertions. Slow; meant for tests."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
-
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
@@ -164,8 +156,6 @@ def _from_op(data, nodes, backward):
     out.data = data
     parents = tuple(n for n in nodes if n is not None)
     out._node = _Node(True, parents, backward) if parents else None
-    if _DEBUG_CHECKS and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite value produced by tensor op")
     return out
 
 

@@ -31,7 +31,6 @@ class VisibilityPlan:
 
     n_nodes: int
     mask_ratio: float
-    subgraph_size: int
     kept: np.ndarray
     masked: np.ndarray
     slots: np.ndarray
@@ -89,7 +88,6 @@ def plan_visibility(n_nodes, mask_ratio, subgraph_size, rng):
     return VisibilityPlan(
         n_nodes=n_nodes,
         mask_ratio=mask_ratio,
-        subgraph_size=s,
         kept=kept.astype(np.int64),
         masked=masked.astype(np.int64),
         slots=slotted.reshape(k, s),
@@ -141,24 +139,17 @@ def perturb_masked_batch(fused, plans, strategy, embed_dim, rng):
     """
     if strategy not in ("all_zero", "partial_zero", "random_value"):
         raise ValueError(f"unknown masking strategy {strategy!r}")
+    masked = np.stack([p.masked for p in plans])  # (B, m): the plans share N and r
+    b, m = masked.shape
+    rows = np.arange(b)[:, None]
     keep = np.ones(fused.shape, dtype=np.float64)
     inject = np.zeros(fused.shape, dtype=np.float64)
-    for i, plan in enumerate(plans):
-        masked = plan.masked
-        if not masked.size:
-            continue
-        if strategy == "all_zero":
-            keep[i, masked, :embed_dim] = 0.0
-        elif strategy == "partial_zero":
-            hit = rng.random((masked.size, embed_dim)) < 0.5
-            block = keep[i, masked, :embed_dim]
-            block[hit] = 0.0
-            keep[i, masked, :embed_dim] = block
-        else:
-            keep[i, masked, :embed_dim] = 0.0
-            inject[i, masked, :embed_dim] = rng.standard_normal(
-                (masked.size, embed_dim)
-            )
+    if strategy == "partial_zero":
+        keep[rows, masked, :embed_dim] = rng.random((b, m, embed_dim)) >= 0.5
+    else:
+        keep[rows, masked, :embed_dim] = 0.0
+    if strategy == "random_value":
+        inject[rows, masked, :embed_dim] = rng.standard_normal((b, m, embed_dim))
     return T.add(T.mul(fused, keep), inject)
 
 

@@ -17,6 +17,18 @@ def test_every_name_the_benchmark_wraps_exists(monkeypatch):
     tracing.check_names()
 
 
+def test_benchmark_smoke_run_exits_0():
+    # one traced tiny run: its observers read attributes of what foldcast
+    # returns, which the name guard above does not check
+    env = {**os.environ, "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", "desk_train",
+         "--seed", "1", "--trace", "1", "--size", "tiny", "--seconds", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
+
+
 @pytest.mark.slow
 def test_benchmark_self_test_passes():
     env = {**os.environ, "OMP_NUM_THREADS": "1"}

@@ -132,6 +132,13 @@ class TestTrain:
         assert code == 2
         assert "heads" in capsys.readouterr().err
 
+    def test_dataset_directory_exits_3(self, workspace, capsys):
+        tmp_path, cfg, _ = workspace
+        code = main(["train", "--config", str(cfg), "--set", f"dataset={tmp_path}",
+                     "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "cannot read dataset" in capsys.readouterr().err
+
     def test_no_dataset_key_exits_2(self, tmp_path):
         code = main(["train", "--out", str(tmp_path / "x")])
         assert code == 2
@@ -250,6 +257,16 @@ class TestEval:
         assert code == 3
 
 
+    def test_checkpoint_directory_exits_3(self, workspace, capsys):
+        tmp_path, cfg, _ = workspace
+        code = main(
+            ["eval", "--checkpoint", str(tmp_path), "--config", str(cfg),
+             "--out", str(tmp_path / "x")]
+        )
+        assert code == 3
+        assert "cannot read checkpoint" in capsys.readouterr().err
+
+
 class TestBench:
     def test_bench_csv_columns_and_tokens(self, workspace):
         tmp_path, cfg, _ = workspace
@@ -309,6 +326,19 @@ class TestAblate:
         assert code == 0
         rows = read_csv(out / "ablate_folding.csv")
         assert [r[1] for r in rows[1:]] == ["TFG", "SF"]
+
+    def test_zero_epochs_exits_2_before_training(self, workspace, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("ablate trained before validating max_epochs")
+
+        monkeypatch.setattr(sys.modules["foldcast.cli"], "train", no_training)
+        tmp_path, cfg, _ = workspace
+        out = tmp_path / "ab"
+        code = main(["ablate", "--config", str(cfg), "--set", "max_epochs=0",
+                     "--axis", "folding", "--out", str(out)])
+        assert code == 2
+        assert "max_epochs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_axis_value_exits_2(self, workspace):
         tmp_path, cfg, _ = workspace

@@ -101,15 +101,26 @@ class TestTiming:
     def test_tod_follows_start_offset(self):
         # start three steps past midnight: tod of row k is (3 + k) mod freq
         series = series_from(np.zeros((30, 1)), frequency=24, start=MONDAY + 3 * 3600)
-        for k in (0, 5, 21, 25):
-            assert series.tod_index(k) == (3 + k) % 24
+        rows = np.array([0, 5, 21, 25])
+        tod, _ = series.phases(rows)
+        assert tod.tolist() == [(3 + k) % 24 for k in rows]
 
     def test_dow_rolls_at_midnight(self):
         series = series_from(np.zeros((60, 1)), frequency=24, start=MONDAY)
-        assert series.dow_index(0) == 0  # Monday
-        assert series.dow_index(23) == 0
-        assert series.dow_index(24) == 1
-        assert series.dow_index(24 * 6) == 6
+        _, dow = series.phases(np.array([0, 23, 24, 24 * 6]))
+        assert dow.tolist() == [0, 0, 1, 6]  # Monday, Monday, Tuesday, Sunday
+
+    @given(
+        frequency=st.sampled_from([f for f in range(1, 86401) if 86400 % f == 0]),
+        start=st.integers(-(2**63), 2**63 - 1),  # the binary header's start is signed
+        rows=st.lists(st.integers(0, 10**7), min_size=1, max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_phases_match_timestamp_oracle(self, frequency, start, rows):
+        step = 86400 // frequency
+        tod, dow = TrafficSeries(np.zeros((1, 1)), frequency, start).phases(np.array(rows))
+        assert tod.tolist() == [((start + k * step) % 86400) // step for k in rows]
+        assert dow.tolist() == [((start + k * step) // 86400 + 3) % 7 for k in rows]
 
 
 class TestNormalizer:
@@ -166,8 +177,7 @@ class TestWindows:
         assert np.array_equal(w.input, [[2.0, 3.0, 4.0]])
         assert np.array_equal(w.target, [[5.0, 6.0]])
         assert w.anchor_t == 4
-        assert w.tod_index == series.tod_index(4)
-        assert w.dow_index == series.dow_index(4)
+        assert (w.tod_index, w.dow_index) == series.phases(4)
 
     def test_no_train_target_crosses_boundary(self):
         series = series_from(np.zeros((50, 2)), frequency=24)
@@ -239,16 +249,12 @@ class TestHistoricalAverage:
 
         # independent closed-form oracle: average raw rows per phase
         r1, _ = split_boundaries(series.step_count, (0.6, 0.2, 0.2))
+        tod, dow = series.phases(np.arange(series.step_count))
         truth = np.zeros_like(pred)
         for j in range(4):
             k = query.anchor_t + 1 + j
-            tod, dow = series.tod_index(k), series.dow_index(k)
-            rows = [
-                i
-                for i in range(r1)
-                if series.tod_index(i) == tod and series.dow_index(i) == dow
-            ]
-            truth[:, j] = series.values[rows].mean(axis=0)
+            rows = (tod[:r1] == tod[k]) & (dow[:r1] == dow[k])
+            truth[:, j] = series.values[:r1][rows].mean(axis=0)
         assert np.max(np.abs(pred - truth)) < 1e-9
 
     def test_unseen_phase_falls_back_to_node_mean(self):
