@@ -259,7 +259,7 @@ def cmd_ablate(args):
         result = train(cfg, series)
         test_w = result.windows[2] or result.windows[1] or result.windows[0]
         test = evaluate(result.forecaster, test_w, result.stats)
-        tokens, _, _ = sample_geometry(result.forecaster.dims, cfg)
+        tokens, _ = sample_geometry(result.forecaster.dims, cfg)
         rows.append(
             [
                 args.axis,
@@ -278,9 +278,12 @@ def cmd_ablate(args):
 
 def cmd_synth(args):
     run = _resolve(args, require_dataset=False)
-    series = generate_series(
-        args.nodes, args.days, args.freq, args.noise, run.train.seed
-    )
+    try:
+        series = generate_series(
+            args.nodes, args.days, args.freq, args.noise, run.train.seed
+        )
+    except ValueError as exc:  # a DataError too: every input here is a flag
+        raise ConfigError(f"synth: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     path = args.path or os.path.join(
         args.out, "synthetic.txt" if args.format == "text" else "synthetic.bin"

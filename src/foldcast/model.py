@@ -19,6 +19,7 @@ from .tokenize import EmbeddingTables
 
 TFG = "TFG"
 SF = "SF"
+TOKEN_PARTS = {TFG: 4, SF: 3}  # d-wide embeddings per token; SF has no spatial one
 
 
 @dataclass
@@ -27,7 +28,7 @@ class ModelDims:
 
     t_in: int
     horizon: int
-    embed_dim: int  # d; tokens are 4d wide (3d in SF mode)
+    embed_dim: int  # d; tokens are TOKEN_PARTS[folding] * d wide
     ffn_dim: int
     heads: int
     layers: int
@@ -37,7 +38,15 @@ class ModelDims:
 
     @property
     def width(self):
-        return 4 * self.embed_dim if self.folding == TFG else 3 * self.embed_dim
+        return TOKEN_PARTS[self.folding] * self.embed_dim
+
+    @property
+    def folded_shape(self):
+        """(tokens, features, outputs) of one full-graph sample: (N, T, T')
+        under TFG, a token per node; (T, N, N) under SF, a token per step."""
+        if self.folding == TFG:
+            return self.n_nodes, self.t_in, self.horizon
+        return self.t_in, self.n_nodes, self.n_nodes
 
     @property
     def head_dim(self):
@@ -124,13 +133,11 @@ def build_params(dims, rng):
     params = ModelParams()
     d = dims.embed_dim
     w = dims.width
+    _, features, outputs = dims.folded_shape
+    params.add("embed.wx", _uniform(rng, features, (features, d)))
+    params.add("embed.wx_b", np.zeros(d))
     if dims.folding == TFG:
-        params.add("embed.wx", _uniform(rng, dims.t_in, (dims.t_in, d)))
-        params.add("embed.wx_b", np.zeros(d))
         params.add("embed.s", rng.normal(0.0, 0.02, size=(dims.n_nodes, d)))
-    else:
-        params.add("embed.wx", _uniform(rng, dims.n_nodes, (dims.n_nodes, d)))
-        params.add("embed.wx_b", np.zeros(d))
     params.add("embed.tod", rng.normal(0.0, 0.02, size=(dims.frequency, d)))
     params.add("embed.dow", rng.normal(0.0, 0.02, size=(7, d)))
     for i in range(dims.layers):
@@ -146,11 +153,10 @@ def build_params(dims, rng):
         params.add(f"enc.{i}.ffn1_b", np.zeros(dims.ffn_dim))
         params.add(f"enc.{i}.ffn2", _uniform(rng, dims.ffn_dim, (dims.ffn_dim, w)))
         params.add(f"enc.{i}.ffn2_b", np.zeros(w))
-    head_out = dims.horizon if dims.folding == TFG else dims.n_nodes
     params.add("head.0", _uniform(rng, w, (w, dims.ffn_dim)))
     params.add("head.0_b", np.zeros(dims.ffn_dim))
-    params.add("head.1", _uniform(rng, dims.ffn_dim, (dims.ffn_dim, head_out)))
-    params.add("head.1_b", np.zeros(head_out))
+    params.add("head.1", _uniform(rng, dims.ffn_dim, (dims.ffn_dim, outputs)))
+    params.add("head.1_b", np.zeros(outputs))
     if dims.folding == SF:
         # SF emits one all-node forecast per time-step token; a final
         # linear over the time axis maps T tokens onto the T' horizon.

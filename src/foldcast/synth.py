@@ -23,8 +23,8 @@ PULSE_RATE = 0.04
 def generate_series(n_nodes, days, frequency, noise, seed, start=DEFAULT_START):
     if n_nodes < 1 or days < 1 or frequency < 1:
         raise ValueError("n_nodes, days, frequency must all be >= 1")
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
+    if not 0 <= noise < np.inf:  # written so that NaN fails too
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     steps = days * frequency
     base = rng.uniform(80.0, 120.0, size=n_nodes)

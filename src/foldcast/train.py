@@ -23,7 +23,7 @@ from . import model as M
 from . import tensor as T
 from . import visibility as V
 from .data import apply_zscore, fit_normalizer, invert_zscore, make_windows, stack_windows
-from .errors import DivergenceError
+from .errors import DataError, DivergenceError
 from .metrics import MetricAccumulator
 from .tokenize import fuse_embeddings_batch
 
@@ -72,12 +72,12 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if list(self.milestones) != sorted(self.milestones):
             raise ValueError("milestones must be ascending")
-        if self.folding not in (M.TFG, M.SF):
+        if self.folding not in M.TOKEN_PARTS:
             raise ValueError(f"folding must be TFG or SF, got {self.folding!r}")
         if self.mask_strategy not in V.STRATEGIES:
             raise ValueError(f"unknown mask_strategy {self.mask_strategy!r}")
-        if (len(self.split) != 3 or min(self.split) < 0 or self.split[0] <= 0
-                or abs(sum(self.split) - 1.0) > 1e-9):
+        if (len(self.split) != 3 or not all(f >= 0 for f in self.split)  # NaN fails
+                or not self.split[0] > 0 or not abs(sum(self.split) - 1.0) <= 1e-9):
             raise ValueError(
                 "split must be three fractions >= 0 with a positive train "
                 f"fraction, summing to 1; got {self.split}"
@@ -86,7 +86,7 @@ class TrainConfig:
             raise ValueError("max_epochs >= 0, patience >= 1, batch_size >= 1 required")
         if min(self.embed_dim, self.ffn_dim, self.heads) < 1 or self.layers < 0:
             raise ValueError("embed_dim, ffn_dim, heads >= 1 and layers >= 0 required")
-        width = (4 if self.folding == M.TFG else 3) * self.embed_dim
+        width = M.TOKEN_PARTS[self.folding] * self.embed_dim
         if width % self.heads != 0:
             raise ValueError(
                 f"heads ({self.heads}) must divide the token width ({width})"
@@ -124,8 +124,7 @@ class Forecaster:
         return cls(dims, M.build_params(dims, rng))
 
     def fuse(self, inputs, tod, dow):
-        """(B, N, T) inputs -> fused tokens: one per node under TFG, one
-        per input step (the (B, T, N) transpose) under SF."""
+        """(B, N, T) inputs -> (B, tokens, width), ``dims.folded_shape``'s tokens."""
         tokens = inputs if self.dims.folding == M.TFG else inputs.transpose(0, 2, 1)
         return fuse_embeddings_batch(tokens, self.params.tables(), tod, dow)
 
@@ -152,18 +151,15 @@ def effective_subgraph_size(n_nodes, mask_ratio, subgraph_size):
 
 
 def sample_geometry(dims, config):
-    """(tokens, groups, group_size) one training sample puts through the
-    encoder: the K*s visible slots under node-level masking, all N nodes
-    in one group for the perturbation strategies, all T steps in one
-    group under SF."""
+    """(tokens, group_size) one training sample puts through the encoder:
+    K*s visible slots in groups of s under node-level masking, else the
+    whole folded sample as one group (SF, or all N nodes perturbed)."""
+    if dims.folding == M.SF or config.mask_strategy != "node_level":
+        tokens = dims.folded_shape[0]
+        return tokens, tokens
     n = dims.n_nodes
-    if dims.folding == M.SF:
-        return dims.t_in, 1, dims.t_in
-    if config.mask_strategy != "node_level":
-        return n, 1, n
     s = effective_subgraph_size(n, config.mask_ratio, config.subgraph_size)
-    _, _, k = V.geometry(n, config.mask_ratio, s)
-    return k * s, k, s
+    return visible_token_count(n, config.mask_ratio, s), s
 
 
 def training_forward(forecaster, config, inputs, targets, tod, dow, plan_rng):
@@ -176,7 +172,7 @@ def training_forward(forecaster, config, inputs, targets, tod, dow, plan_rng):
     """
     dims = forecaster.dims
     b = inputs.shape[0]
-    tokens, _, s = sample_geometry(dims, config)
+    tokens, s = sample_geometry(dims, config)
     include = None
     if dims.folding == M.SF:
         preds = forecaster.forward_inference(inputs, tod, dow)
@@ -262,7 +258,7 @@ def train(config, series, progress=None):
         normed, config.t_in, config.horizon, config.split
     )
     if not train_w:
-        raise DivergenceError("no training windows; series too short for the split")
+        raise DataError("no training windows; series too short for the split")
     init_rng, shuffle_rng, plan_rng = _rng_streams(config.seed)
     forecaster = Forecaster.build(
         config, series.node_count, series.frequency, init_rng
@@ -371,21 +367,19 @@ def attention_pair_count(n_nodes, mask_ratio, subgraph_size):
     return visible_token_count(n_nodes, mask_ratio, subgraph_size) * subgraph_size
 
 
-def forward_flops_per_sample(dims, tokens, groups, group_size):
-    """Multiply-add count of one forward pass over ``tokens`` slots."""
+def forward_flops_per_sample(dims, tokens, group_size):
+    """Multiply-add count of one forward over ``tokens`` slots in groups of ``group_size``."""
     w = dims.width
     f = dims.ffn_dim
-    fuse_in = dims.t_in if dims.folding == M.TFG else dims.n_nodes
-    fuse_tokens = dims.n_nodes if dims.folding == M.TFG else dims.t_in
-    flops = fuse_tokens * fuse_in * dims.embed_dim * 2
+    fold_tokens, features, outputs = dims.folded_shape
+    flops = fold_tokens * features * dims.embed_dim * 2
     per_layer = (
         tokens * w * 3 * w * 2  # qkv
-        + groups * dims.heads * group_size * group_size * (w // dims.heads) * 2 * 2
+        + tokens * group_size * w * 2 * 2  # scores and weighted values, all heads
         + tokens * w * w * 2  # output projection
         + tokens * (w * f + f * w) * 2  # ffn
     )
-    head_out = dims.horizon if dims.folding == M.TFG else dims.n_nodes
-    head = tokens * (w * f + f * head_out) * 2
+    head = tokens * (w * f + f * outputs) * 2
     return flops + dims.layers * per_layer + head
 
 
@@ -394,8 +388,8 @@ def estimate_epoch_seconds(dims, config, n_train, n_val):
     training windows plus a forward over the validation windows, at a
     fixed nominal FLOP rate."""
     train_fwd = forward_flops_per_sample(dims, *sample_geometry(dims, config))
-    seq = dims.n_nodes if dims.folding == M.TFG else dims.t_in
-    infer_fwd = forward_flops_per_sample(dims, seq, 1, seq)
+    seq = dims.folded_shape[0]
+    infer_fwd = forward_flops_per_sample(dims, seq, seq)
     total = 3 * train_fwd * n_train + infer_fwd * n_val
     return total / NOMINAL_FLOPS_PER_SECOND
 

@@ -94,16 +94,20 @@ def plan_visibility(n_nodes, mask_ratio, subgraph_size, rng):
     )
 
 
-def _stacked_slots(plans, batch, n_nodes):
-    """(rows, live), each (B, K, s), for one plan per batch element, each
-    drawn for ``n_nodes`` nodes: ``rows`` indexes the (B*N)-row table of
-    the batch's node rows, a pad slot pointing at row 0 of its sample, and
-    ``live`` is False at pad slots."""
+def _check_plans(plans, batch, n_nodes):
     if len(plans) != batch or any(p.n_nodes != n_nodes for p in plans):
         raise T.ShapeError(
             f"need one plan per sample ({batch}), each built for {n_nodes} "
             f"nodes; got {len(plans)} for {sorted({p.n_nodes for p in plans})}"
         )
+
+
+def _stacked_slots(plans, batch, n_nodes):
+    """(rows, live), each (B, K, s), for one plan per batch element, each
+    drawn for ``n_nodes`` nodes: ``rows`` indexes the (B*N)-row table of
+    the batch's node rows, a pad slot pointing at row 0 of its sample, and
+    ``live`` is False at pad slots."""
+    _check_plans(plans, batch, n_nodes)
     slots = np.stack([p.slots for p in plans])
     live = slots != PAD
     offsets = (np.arange(batch) * n_nodes)[:, None, None]
@@ -139,6 +143,7 @@ def perturb_masked_batch(fused, plans, strategy, embed_dim, rng):
     """
     if strategy not in ("all_zero", "partial_zero", "random_value"):
         raise ValueError(f"unknown masking strategy {strategy!r}")
+    _check_plans(plans, *fused.shape[:2])
     masked = np.stack([p.masked for p in plans])  # (B, m): the plans share N and r
     b, m = masked.shape
     rows = np.arange(b)[:, None]

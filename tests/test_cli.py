@@ -88,6 +88,16 @@ class TestSynth:
         assert np.array_equal(a.values, b.values)
         assert (a.frequency, a.start) == (b.frequency, b.start)
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--nodes", "0"), ("--days", "0"), ("--freq", "0"), ("--freq", "7"),
+         ("--noise", "-1"), ("--noise", "nan"), ("--noise", "inf")],
+    )
+    def test_bad_argument_exits_2_and_writes_nothing(self, tmp_path, flag, value):
+        out = tmp_path / "x"
+        assert main(["synth", flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_noiseless_signal_is_phase_deterministic(self, tmp_path):
         from foldcast.data import ha_fit, load_series, make_windows
 
@@ -143,12 +153,19 @@ class TestTrain:
         code = main(["train", "--out", str(tmp_path / "x")])
         assert code == 2
 
-    def test_same_seed_byte_identical_logs(self, workspace):
+    @pytest.mark.parametrize(
+        "setting",
+        ["mask_strategy=node_level", "folding=SF", "mask_strategy=all_zero",
+         "mask_strategy=partial_zero", "mask_strategy=random_value"],
+        ids=lambda setting: setting.split("=")[1],
+    )
+    def test_same_seed_byte_identical_logs(self, workspace, setting):
         tmp_path, cfg, _ = workspace
         logs = []
         for name in ("r1", "r2"):
             out = tmp_path / name
-            assert main(["train", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+            assert main(["train", "--config", str(cfg), "--set", setting, "--seed", "7",
+                         "--out", str(out)]) == 0
             logs.append((out / "train_log.csv").read_bytes())
         assert logs[0] == logs[1]
 
@@ -161,7 +178,7 @@ class TestTrain:
             )
         assert code == 4
 
-    @pytest.mark.parametrize("setting", ["lr=-1", "huber_delta=nan"])
+    @pytest.mark.parametrize("setting", ["lr=-1", "huber_delta=nan", "split=0.6,nan,0.4"])
     def test_bad_optimiser_value_exits_2(self, workspace, capsys, setting):
         tmp_path, cfg, _ = workspace
         out = tmp_path / "x"
@@ -169,6 +186,14 @@ class TestTrain:
         assert code == 2
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_training_split_exits_3(self, workspace, capsys):
+        tmp_path, cfg, _ = workspace
+        # 7 of the 144 rows train: fewer than one 6 + 3 step window
+        code = main(["train", "--config", str(cfg), "--set", "split=0.05,0.15,0.8",
+                     "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "no training windows" in capsys.readouterr().err
 
     def test_snapshot_reproduces_run_byte_for_byte(self, workspace):
         tmp_path, cfg, _ = workspace

@@ -81,7 +81,8 @@ class TestResolve:
             resolve({}, {"folding": "diagonal"})
 
     def test_split_fractions_checked(self):
-        for raw in ("0.5,0.6,-0.1", "0,0.5,0.5", "0.6,0.2,0.1", "0.7,0.2,0.2"):
+        for raw in ("0.5,0.6,-0.1", "0,0.5,0.5", "0.6,0.2,0.1", "0.7,0.2,0.2",
+                    "nan,0.5,0.5", "0.6,nan,0.4"):
             with pytest.raises(ConfigError, match="split"):
                 resolve({}, {"split": raw})
         assert resolve({}, {"split": "0.7,0.1,0.2"}).train.split == (0.7, 0.1, 0.2)

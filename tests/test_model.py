@@ -228,6 +228,23 @@ class TestHead:
         assert out.shape[-1] == 24
 
 
+class TestFolding:
+    @pytest.mark.parametrize(
+        "folding,width,shape",
+        [("TFG", 32, (10, 6, 3)), ("SF", 24, (6, 10, 10))],
+    )
+    def test_folded_shape_sizes_the_parameters(self, folding, width, shape):
+        dims = ModelDims(t_in=6, horizon=3, embed_dim=8, ffn_dim=5, heads=2,
+                         layers=1, n_nodes=10, frequency=12, folding=folding)
+        assert dims.width == width
+        assert dims.folded_shape == shape
+        params = build_params(dims, np.random.default_rng(0))
+        _, features, outputs = shape
+        assert params["embed.wx"].shape == (features, 8)
+        assert params["head.1"].shape == (5, outputs)
+        assert ("embed.s" in params.manifest()) == (folding == "TFG")
+
+
 class TestManifest:
     def test_stable_names_present(self):
         dims = toy_dims()

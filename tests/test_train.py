@@ -17,9 +17,10 @@ from foldcast.data import (
     make_windows,
     stack_windows,
 )
-from foldcast.errors import DivergenceError
+from foldcast.errors import DataError, DivergenceError
 from foldcast.synth import generate_series
 from foldcast.train import (
+    NOMINAL_FLOPS_PER_SECOND,
     TRAIN_LOG_COLUMNS,
     Forecaster,
     TrainConfig,
@@ -29,6 +30,7 @@ from foldcast.train import (
     estimate_epoch_seconds,
     evaluate,
     format_rows,
+    forward_flops_per_sample,
     lr_at_epoch,
     sample_geometry,
     snapshot_token_count,
@@ -147,6 +149,11 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError):
             train(cfg, sinusoid_series())
 
+    def test_empty_training_split_is_a_data_error(self):
+        series = generate_series(6, 3, 24, noise=1.0, seed=0)  # 72 rows, 7 train
+        with pytest.raises(DataError, match="no training windows"):
+            train(tiny_config(split=(0.1, 0.1, 0.8)), series)
+
     def test_same_seed_identical_logs(self):
         cfg = tiny_config(max_epochs=3)
         series = sinusoid_series(seed=6)
@@ -223,6 +230,38 @@ class TestAccounting:
         for n, r, s in ((307, 0.2, 50), (170, 0.2, 30), (20, 0.45, 4)):
             tokens = visible_token_count(n, r, s)
             assert attention_pair_count(n, r, s) == tokens * s
+
+    @pytest.mark.parametrize("folding", ["TFG", "SF"])
+    @pytest.mark.parametrize("strategy", V.STRATEGIES)
+    @pytest.mark.parametrize("r", [0.0, 0.2, 0.8])
+    def test_flops_match_grouped_formula(self, folding, strategy, r):
+        cfg = tiny_config(folding=folding, mask_strategy=strategy, mask_ratio=r,
+                          embed_dim=6, heads=2, layers=2)
+        n, t, f, heads = 11, cfg.t_in, cfg.ffn_dim, cfg.heads
+        dims = Forecaster.build(cfg, n, 24, np.random.default_rng(0)).dims
+        w = dims.width
+        fuse_tokens, fuse_in, head_out = (n, t, cfg.horizon) if folding == "TFG" else (t, n, n)
+
+        def oracle(tokens, groups, s):
+            # the count written with the group number K of the visibility geometry
+            per_layer = (tokens * w * 3 * w * 2
+                         + groups * heads * s * s * (w // heads) * 2 * 2
+                         + tokens * w * w * 2 + tokens * (w * f + f * w) * 2)
+            return (fuse_tokens * fuse_in * cfg.embed_dim * 2 + cfg.layers * per_layer
+                    + tokens * (w * f + f * head_out) * 2)
+
+        if folding == "SF":
+            groups, s = 1, t
+        elif strategy != "node_level":
+            groups, s = 1, n
+        else:
+            s = effective_subgraph_size(n, r, cfg.subgraph_size)
+            groups = V.geometry(n, r, s)[2]
+        assert sample_geometry(dims, cfg) == (groups * s, s)
+        assert forward_flops_per_sample(dims, groups * s, s) == oracle(groups * s, groups, s)
+        expected = (3 * oracle(groups * s, groups, s) * 40
+                    + oracle(fuse_tokens, 1, fuse_tokens) * 9) / NOMINAL_FLOPS_PER_SECOND
+        assert estimate_epoch_seconds(dims, cfg, 40, 9) == expected
 
     def test_token_count_non_increasing_in_ratio(self):
         counts = [visible_token_count(20, r, 4) for r in (0.0, 0.2, 0.5, 0.8)]
@@ -487,5 +526,6 @@ class TestStepPeak:
             return training_forward(forecaster, cfg, inputs, targets, tod, dow, rng)[0]
 
         peak, graph = step_peak(forward, forecaster.params)
-        unit = sample_geometry(forecaster.dims, cfg)[0] * batch * cfg.ffn_dim * 8
+        tokens, _ = sample_geometry(forecaster.dims, cfg)
+        unit = tokens * batch * cfg.ffn_dim * 8
         assert peak - graph <= 2.2 * unit, (peak - graph) / unit

@@ -195,6 +195,18 @@ class TestMaskingVariants:
         assert out.shape[0] * out.shape[1] == 2 * plans[0].visible_count
         assert plans[0].visible_count < 10
 
+    def test_plan_count_mismatch(self):
+        rng = np.random.default_rng(12)
+        plans = [plan_visibility(6, 0.5, 6, rng) for _ in range(2)]
+        with pytest.raises(T.ShapeError):  # two plans for three samples
+            perturb_masked_batch(Tensor(np.zeros((3, 6, 8))), plans, "all_zero", 2, rng)
+
+    def test_plan_size_mismatch(self):
+        rng = np.random.default_rng(13)
+        plans = [plan_visibility(20, 0.5, 20, rng) for _ in range(2)]
+        with pytest.raises(T.ShapeError):  # plans drawn for 20 nodes, batch of 10
+            perturb_masked_batch(Tensor(np.zeros((2, 10, 8))), plans, "random_value", 2, rng)
+
     def test_unknown_strategy(self):
         rng = np.random.default_rng(11)
         plan = plan_visibility(4, 0.0, 4, rng)
