@@ -148,8 +148,9 @@ def cmd_train(args):
     run = _resolve(args)
     series = load_series(run.dataset)
     os.makedirs(args.out, exist_ok=True)
-    _write(os.path.join(args.out, SNAPSHOT_NAME), C.snapshot(run))
     result = train(run.train, series)
+    # the snapshot is written only once there is a run for it to describe
+    _write(os.path.join(args.out, SNAPSHOT_NAME), C.snapshot(run))
     _write(os.path.join(args.out, LOG_NAME), format_rows(TRAIN_LOG_COLUMNS, result.log_rows))
     save_checkpoint(result.forecaster.params, os.path.join(args.out, CHECKPOINT_NAME))
     test_w = result.windows[2] or result.windows[1] or result.windows[0]

@@ -9,6 +9,8 @@ binary container with magic ``STSF1``.
 """
 from __future__ import annotations
 
+import itertools
+import os
 import struct
 from dataclasses import dataclass
 
@@ -123,7 +125,31 @@ def _load_text(path):
             start = int(fields["START"])
         except (KeyError, ValueError) as exc:
             raise DataError(f"{path}: bad header {header!r}") from exc
-        rows = []
+        lines = (line for line in fh if not line.isspace())
+        first = next(lines, None)
+        if first is None:  # checked here because loadtxt warns on empty input
+            raise DataError(f"{path}: no data rows")
+        values = reason = None
+        try:
+            values = np.loadtxt(
+                itertools.chain([first], lines),
+                dtype=np.float64, delimiter=",", comments=None, ndmin=2,
+            )
+        except ValueError as exc:
+            reason = str(exc)
+    if values is None or values.shape[1] != n:
+        _check_text_rows(path, n)
+        # every cell passed float(), so loadtxt refused one that float()
+        # accepts and a dataset cell may not hold, such as "1_0"
+        raise DataError(f"{path}: {reason}")
+    return TrafficSeries(values, frequency=freq, start=start)
+
+
+def _check_text_rows(path, n):
+    """Re-read the data rows of text file ``path`` one cell at a time and
+    raise DataError naming the first row or cell that is not ``n`` floats."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -133,18 +159,13 @@ def _load_text(path):
                 raise DataError(
                     f"{path}: row {lineno} has {len(cells)} cells, expected {n}"
                 )
-            row = np.empty(n, dtype=np.float64)
             for col, cell in enumerate(cells):
                 try:
-                    row[col] = float(cell)
+                    float(cell)
                 except ValueError as exc:
                     raise DataError(
                         f"{path}: non-numeric cell at row {lineno}, col {col}: {cell!r}"
                     ) from exc
-            rows.append(row)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return TrafficSeries(np.vstack(rows), frequency=freq, start=start)
 
 
 def _load_binary(path):
@@ -159,14 +180,19 @@ def _load_binary(path):
         (start,) = struct.unpack("<q", head[24:])
         # the header's sizes are checked against the bytes present before
         # any buffer is sized from them
-        payload = fh.read()
-        if len(payload) < steps * n * 8:
+        nbytes = steps * n * 8
+        present = os.fstat(fh.fileno()).st_size - fh.tell()
+        if present < nbytes:
             raise DataError(f"{path}: truncated payload")
         try:
-            values = np.frombuffer(payload, dtype="<f8", count=steps * n).reshape(steps, n)
+            values = np.empty((steps, n), dtype="<f8")
         except ValueError as exc:  # an empty series with a dimension numpy cannot hold
             raise DataError(f"{path}: bad shape {steps} x {n}") from exc
-    return TrafficSeries(values.copy(), frequency=int(freq), start=int(start))
+        if present > nbytes:
+            raise DataError(f"{path}: {present - nbytes} trailing bytes after the payload")
+        if fh.readinto(values) != nbytes:
+            raise DataError(f"{path}: truncated payload")
+    return TrafficSeries(values, frequency=int(freq), start=int(start))
 
 
 def save_series(series, path, format="text"):

@@ -194,6 +194,7 @@ class TestTrain:
                      "--out", str(tmp_path / "x")])
         assert code == 3
         assert "no training windows" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "config.resolved").exists()
 
     def test_snapshot_reproduces_run_byte_for_byte(self, workspace):
         tmp_path, cfg, _ = workspace

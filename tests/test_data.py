@@ -1,10 +1,12 @@
 """Data pipeline: loading, normalization, windowing, and the HA baseline."""
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from foldcast.data import (
     BINARY_MAGIC,
@@ -60,6 +62,13 @@ class TestLoadSave:
         with pytest.raises(DataError, match=match):
             load_series(path)
 
+    def test_binary_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.bin"
+        save_series(series_from([[1.0, 2.0], [3.0, 4.0]]), path, format="binary")
+        path.write_bytes(path.read_bytes() + bytes(3))
+        with pytest.raises(DataError, match="3 trailing bytes"):
+            load_series(path)
+
     def test_non_utf8_text_rejected(self, tmp_path):
         path = tmp_path / "latin1.txt"
         path.write_bytes(f"N=1 FREQ=24 START={MONDAY}\n1.0\n".encode() + b"\xe9\xff\n")
@@ -95,6 +104,79 @@ class TestLoadSave:
         path.write_text(f"N=1 FREQ=24 START={MONDAY}\nnan\n")
         with pytest.raises(DataError):
             load_series(path)
+
+
+class TestTextLoader:
+    """Edge cases of the text format that the loader must keep."""
+
+    def write(self, tmp_path, n, body):
+        path = tmp_path / "edge.txt"
+        path.write_bytes(f"N={n} FREQ=24 START={MONDAY}\n".encode() + body.encode())
+        return path
+
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path):
+        path = self.write(tmp_path, 2, "\n  \t\n1.0,2.0\n\n \n3.0,4.0\n\t\n\n")
+        assert load_series(path).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_crlf_and_padded_cells(self, tmp_path):
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(f"N=2 FREQ=24 START={MONDAY}\r\n 1.5 ,2.0\r\n3.0,\t4.25 \r\n".encode())
+        series = load_series(path)
+        assert series.values.tolist() == [[1.5, 2.0], [3.0, 4.25]]
+        assert series.start == MONDAY
+
+    @pytest.mark.parametrize("cell", ["", "#2"], ids=["trailing_comma", "hash"])
+    def test_bad_cell_names_row_and_col(self, tmp_path, cell):
+        path = self.write(tmp_path, 2, f"1.0,2.0\n\n3.0,{cell}\n")
+        with pytest.raises(DataError, match=rf"non-numeric cell at row 4, col 1: {cell!r}"):
+            load_series(path)
+
+    def test_every_row_too_wide(self, tmp_path):
+        path = self.write(tmp_path, 2, "1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        with pytest.raises(DataError, match="row 2 has 3 cells, expected 2"):
+            load_series(path)
+
+    @pytest.mark.parametrize("body", ["", "\n \n"], ids=["header_only", "blank_lines"])
+    def test_no_data_rows_warns_nothing(self, tmp_path, body):
+        path = self.write(tmp_path, 2, body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="no data rows"):
+                load_series(path)
+
+    def test_digit_separator_rejected(self, tmp_path):
+        # float() reads "1_0" as 10.0; a dataset cell must be a plain decimal
+        path = self.write(tmp_path, 1, "1.0\n1_0\n")
+        with pytest.raises(DataError, match="1_0"):
+            load_series(path)
+
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @example(values=np.array([[-0.0, 0.0, 5e-324, -2.2250738585072009e-308]]))
+    @example(values=np.array([[np.finfo(float).max], [-np.finfo(float).max]]))
+    @settings(max_examples=200, deadline=None)
+    def test_text_round_trip_is_bitwise(self, tmp_path_factory, values):
+        path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+        save_series(series_from(values), path)
+        back = load_series(path).values
+        assert back.shape == values.shape
+        assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
+    def test_text_and_binary_loads_agree(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-300, 300, (40, 7))
+        values[0, :4] = [-0.0, 5e-324, np.finfo(float).max, -np.finfo(float).tiny]
+        series = series_from(values)
+        save_series(series, tmp_path / "s.txt")
+        save_series(series, tmp_path / "s.bin", format="binary")
+        text, binary = load_series(tmp_path / "s.txt"), load_series(tmp_path / "s.bin")
+        assert np.array_equal(text.values.view(np.uint64), binary.values.view(np.uint64))
+        assert np.array_equal(text.values.view(np.uint64), values.view(np.uint64))
 
 
 class TestTiming:
