@@ -139,8 +139,6 @@ def _load_text(path):
             reason = str(exc)
     if values is None or values.shape[1] != n:
         _check_text_rows(path, n)
-        # every cell passed float(), so loadtxt refused one that float()
-        # accepts and a dataset cell may not hold, such as "1_0"
         raise DataError(f"{path}: {reason}")
     return TrafficSeries(values, frequency=freq, start=start)
 
@@ -160,8 +158,13 @@ def _check_text_rows(path, n):
                     f"{path}: row {lineno} has {len(cells)} cells, expected {n}"
                 )
             for col, cell in enumerate(cells):
+                core = cell.strip()
                 try:
-                    float(cell)
+                    # float() alone also reads "1_0" and non-ASCII digits,
+                    # which loadtxt refuses
+                    if not core.isascii() or "_" in core:
+                        raise ValueError(core)
+                    float(core)
                 except ValueError as exc:
                     raise DataError(
                         f"{path}: non-numeric cell at row {lineno}, col {col}: {cell!r}"

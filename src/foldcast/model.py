@@ -48,14 +48,6 @@ class ModelDims:
             return self.n_nodes, self.t_in, self.horizon
         return self.t_in, self.n_nodes, self.n_nodes
 
-    @property
-    def head_dim(self):
-        if self.width % self.heads != 0:
-            raise ValueError(
-                f"heads ({self.heads}) must divide token width ({self.width})"
-            )
-        return self.width // self.heads
-
 
 class ModelParams:
     """Ordered name -> Tensor mapping; the insertion order is the stable

@@ -18,6 +18,13 @@ Two fused ops keep the tape short: ``linear`` (x @ w + b as one node) and
 ``attention`` (multi-head softmax(QK^T/sqrt(hd))V over a packed qkv tensor,
 with a hand-written backward).
 
+``attention`` and ``gelu`` work through their input a cache-sized block
+at a time: attention by groups, GELU by elements. Each group or element
+goes through the operations of one whole-array pass in the same order,
+so blocking changes no bit (a NaN's sign aside). GELU's erf is scipy's
+bit for bit: on a large input, cephes' rational in numpy where
+|x / sqrt(2)| <= 1 and scipy itself elsewhere.
+
 Gradient ownership: a node's ``.grad`` array belongs to that node alone.
 A node takes over its first gradient without a copy and adds later ones
 into it in place, so an op hands each parent an array no other node
@@ -392,6 +399,10 @@ def softmax_lastdim(x):
     return _from_op(data, (node,), backward)
 
 
+# Probabilities one attention block holds: 2 MiB of float64.
+_ATTENTION_BLOCK_FLOATS = 2**18
+
+
 def attention(qkv, heads):
     """Multi-head self-attention over packed projections, as one node.
 
@@ -399,7 +410,9 @@ def attention(qkv, heads):
     split into ``heads`` heads of width hd = w / heads. Returns the
     (groups, s, w) merged-head context softmax(Q K^T / sqrt(hd)) V. The
     backward keeps the probabilities, q, k^T and v, each an array of its
-    own; k itself is not kept.
+    own; k itself is not kept. Both directions walk the groups in blocks of
+    about 2 MiB of probabilities; without a tape the probabilities are one
+    block's scratch, not groups * heads * s^2 floats.
     """
     qkv = _as_tensor(qkv)
     if qkv.ndim != 3 or qkv.data.shape[-1] % (3 * heads):
@@ -414,25 +427,35 @@ def attention(qkv, heads):
     q = np.ascontiguousarray(split[:, :, 0].transpose(0, 2, 1, 3))
     kt = np.ascontiguousarray(split[:, :, 1].transpose(0, 2, 3, 1))
     v = np.ascontiguousarray(split[:, :, 2].transpose(0, 2, 1, 3))
-    p = q @ kt
-    p *= scale
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    data = (p @ v).transpose(0, 2, 1, 3).reshape(groups, s, width)
+    block = max(1, _ATTENTION_BLOCK_FLOATS // (heads * s * s))
+    blocks = [slice(lo, lo + block) for lo in range(0, groups, block)]
+    p = np.empty((groups if node is not None else min(block, groups), heads, s, s))
+    ctx = np.empty((groups, s, heads, head_dim))
+    for b in blocks:
+        qb = q[b]
+        pb = p[b] if node is not None else p[: len(qb)]
+        np.matmul(qb, kt[b], out=pb)
+        pb *= scale
+        pb -= pb.max(axis=-1, keepdims=True)
+        np.exp(pb, out=pb)
+        pb /= pb.sum(axis=-1, keepdims=True)
+        np.matmul(pb, v[b], out=ctx[b].transpose(0, 2, 1, 3))
+    data = ctx.reshape(groups, s, width)
 
     def backward(g):
         g_ctx = g.reshape(groups, s, heads, head_dim).transpose(0, 2, 1, 3)
         # dq, dk, dv land in qkv's own layout, so the reshape is a view
         dqkv = np.empty((groups, s, 3, heads, head_dim))
         d = dqkv.transpose(2, 0, 3, 1, 4)  # (3, groups, h, s, hd)
-        np.matmul(p.swapaxes(-1, -2), g_ctx, out=d[2])
-        dp = g_ctx @ v.swapaxes(-1, -2)
-        dp -= (dp * p).sum(axis=-1, keepdims=True)
-        dp *= p
-        dp *= scale
-        np.matmul(dp, kt.swapaxes(-1, -2), out=d[0])
-        d[1] = (q.swapaxes(-1, -2) @ dp).swapaxes(-1, -2)
+        for b in blocks:
+            pb, gb = p[b], g_ctx[b]
+            np.matmul(pb.swapaxes(-1, -2), gb, out=d[2, b])
+            dp = gb @ v[b].swapaxes(-1, -2)
+            dp -= (dp * pb).sum(axis=-1, keepdims=True)
+            dp *= pb
+            dp *= scale
+            np.matmul(dp, kt[b].swapaxes(-1, -2), out=d[0, b])
+            d[1, b] = (q[b].swapaxes(-1, -2) @ dp).swapaxes(-1, -2)
         _accumulate(node, dqkv.reshape(groups, s, three_w))
 
     return _from_op(data, (node,), backward)
@@ -478,6 +501,40 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Elements per GELU pass: a pass's buffers stay in cache.
+_GELU_CHUNK = 2**15
+# cephes' erf for |a| <= 1, the rational scipy evaluates there:
+# a * polevl(a^2, T) / p1evl(a^2, U), with U's leading 1 implied.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+
+
+def _erf_inplace(a, z, p, q):
+    """Overwrite ``a`` with ``scipy.special.erf(a)``, bit for bit.
+
+    Where a^2 <= 1 this is cephes' rational, in cephes' operation order;
+    ``z``, ``p`` and ``q`` are scratch of ``a``'s shape. Every other
+    element (|a| > 1, inf, NaN) goes to scipy, whose branch there calls
+    libm's exp, which numpy's exp does not match bit for bit.
+    """
+    np.multiply(a, a, out=z)
+    np.multiply(z, _ERF_T[0], out=p)
+    p += _ERF_T[1]
+    for c in _ERF_T[2:]:
+        p *= z
+        p += c
+    np.add(z, _ERF_U[0], out=q)
+    for c in _ERF_U[1:]:
+        q *= z
+        q += c
+    # integer indices: a boolean mask gathers and scatters ~10x slower
+    far = np.flatnonzero(~(z <= 1.0))
+    a_far = a[far]
+    p *= a
+    np.divide(p, q, out=a)
+    a[far] = erf(a_far)
 
 
 def gelu(x):
@@ -485,25 +542,48 @@ def gelu(x):
 
     When ``x`` needs a gradient the forward also computes the derivative
     Phi(x) + x * phi(x), the one array the backward keeps; the output is
-    written into the Phi(x) buffer.
+    written into the Phi(x) buffer. Both are computed a cache-sized chunk
+    at a time (an input under 2**17 elements in one pass), each element by
+    the same operations in the same order.
     """
     x = _as_tensor(x)
     node = _grad_node(x)
     x_data = x.data
-    cdf = np.multiply(x_data, _INV_SQRT2, out=np.empty_like(x_data))
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    deriv = None
-    if node is not None:
-        # cdf + x * pdf with pdf = exp(-x^2 / 2) / sqrt(2 pi)
-        deriv = np.multiply(x_data, -0.5, out=np.empty_like(x_data))
-        deriv *= x_data
-        np.exp(deriv, out=deriv)
-        deriv *= _INV_SQRT2PI
-        deriv *= x_data
-        deriv += cdf
-    data = np.multiply(x_data, cdf, out=cdf)
+    flat = x_data.reshape(-1)
+    n = flat.size
+    out = np.empty(n)
+    deriv = np.empty(n) if node is not None else None
+    # Chunks of n // 8 keep the scratch under 3/8 of the output. Below 2**14
+    # elements a chunk's ~25 numpy calls cost more than scipy's erf saves, so
+    # a smaller input is one chunk through scipy, with no scratch.
+    chunk = min(_GELU_CHUNK, n // 8)
+    scratch = np.empty((3, chunk)) if chunk >= _GELU_CHUNK // 2 else None
+    if scratch is None:
+        chunk = max(n, 1)
+    # the rational overflows to inf / inf on the elements scipy redoes
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, chunk):
+            xc, cdf = flat[lo : lo + chunk], out[lo : lo + chunk]
+            np.multiply(xc, _INV_SQRT2, out=cdf)
+            if scratch is None:
+                erf(cdf, out=cdf)
+            else:
+                _erf_inplace(cdf, *scratch[:, : len(xc)])
+            cdf += 1.0
+            cdf *= 0.5
+            if deriv is not None:
+                # cdf + x * pdf with pdf = exp(-x^2 / 2) / sqrt(2 pi)
+                dc = deriv[lo : lo + chunk]
+                np.multiply(xc, -0.5, out=dc)
+                dc *= xc
+                np.exp(dc, out=dc)
+                dc *= _INV_SQRT2PI
+                dc *= xc
+                dc += cdf
+            np.multiply(xc, cdf, out=cdf)
+    data = out.reshape(x_data.shape)
+    if deriv is not None:
+        deriv = deriv.reshape(x_data.shape)
 
     def backward(g):
         g *= deriv

@@ -120,7 +120,6 @@ class Forecaster:
             frequency=frequency,
             folding=config.folding,
         )
-        dims.head_dim  # validates heads | width
         return cls(dims, M.build_params(dims, rng))
 
     def fuse(self, inputs, tod, dow):

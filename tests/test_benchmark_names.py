@@ -17,12 +17,14 @@ def test_every_name_the_benchmark_wraps_exists(monkeypatch):
     tracing.check_names()
 
 
-def test_benchmark_smoke_run_exits_0():
+@pytest.mark.parametrize("workload", ["desk_train", "pems04_infer"])
+def test_benchmark_smoke_run_exits_0(workload):
     # one traced tiny run: its observers read attributes of what foldcast
-    # returns, which the name guard above does not check
+    # returns, which the name guard above does not check; pems04_infer's
+    # output checks also compare the taped attention path with the tape-free one
     env = {**os.environ, "OMP_NUM_THREADS": "1"}
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", "desk_train",
+        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
          "--seed", "1", "--trace", "1", "--size", "tiny", "--seconds", "1"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )

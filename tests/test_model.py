@@ -6,6 +6,7 @@ import pytest
 import foldcast.tensor as T
 from foldcast.model import ModelDims, build_params, encoder_forward, msa, predict
 from foldcast.tensor import Tensor
+from foldcast.train import TrainConfig
 
 from fdcheck import central_diff, max_rel_err
 
@@ -57,18 +58,22 @@ def loop_attention(z, params, heads):
 
 class TestMSA:
     def test_head_dim_and_scale_for_large_profile(self):
+        # the PEMS04 profile is TrainConfig's default
+        config = TrainConfig()
+        config.validate()
         dims = ModelDims(
-            t_in=24, horizon=24, embed_dim=64, ffn_dim=1024, heads=4,
-            layers=1, n_nodes=307, frequency=288,
+            t_in=config.t_in, horizon=config.horizon, embed_dim=config.embed_dim,
+            ffn_dim=config.ffn_dim, heads=config.heads, layers=config.layers,
+            n_nodes=307, frequency=288,
         )
         assert dims.width == 256
-        assert dims.head_dim == 64
-        assert np.sqrt(dims.head_dim) == 8.0
+        assert dims.width // dims.heads == 64
+        assert np.sqrt(dims.width // dims.heads) == 8.0
 
     def test_heads_must_divide_width(self):
-        dims = toy_dims(width=8, heads=3)
-        with pytest.raises(ValueError):
-            dims.head_dim
+        # embed_dim 2 makes the TFG token width 8
+        with pytest.raises(ValueError, match=r"heads \(3\) must divide the token width \(8\)"):
+            TrainConfig(embed_dim=2, heads=3).validate()
 
     def test_single_token_attention_is_value_projection(self):
         rng = np.random.default_rng(0)

@@ -137,7 +137,76 @@ class TestLayerNorm:
         assert max_rel_err(bt.grad, central_diff(lambda v: oracle(x, gamma, v), beta)) < 1e-4
 
 
+def gelu_whole_array(x):
+    """GELU and its derivative over the whole array at once, the formula
+    the chunked kernel must match bit for bit."""
+    from scipy.special import erf
+
+    with np.errstate(invalid="ignore"):
+        cdf = np.multiply(x, 1.0 / np.sqrt(2.0), out=np.empty_like(x))
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        deriv = np.multiply(x, -0.5, out=np.empty_like(x))
+        deriv *= x
+        np.exp(deriv, out=deriv)
+        deriv *= 1.0 / np.sqrt(2.0 * np.pi)
+        deriv *= x
+        deriv += cdf
+        return np.multiply(x, cdf, out=cdf), deriv
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit, except a NaN's sign: numpy's own loops pick which
+    operand's NaN to return by the element's place in the array."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
 class TestGelu:
+    def test_numpy_erf_is_scipy_erf_bit_for_bit(self):
+        # a scipy whose erf changes must fail here, not shift bits silently
+        from scipy.special import erf
+
+        rng = np.random.default_rng(22)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = np.array([
+            0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+            -np.nextafter(1.0, 0.0), tiny, -tiny, 1e-310, np.finfo(np.float64).tiny,
+            1.5, -3.25, 7.99, np.inf, -np.inf, np.nan, -np.nan,
+        ])
+        chunks = [edges]
+        for _ in range(11):
+            # random bit patterns with the top exponent bit clear: |a| < 2,
+            # every exponent below 1 equally often
+            bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+            a = (bits & ~np.uint64(1 << 62)).view(np.float64)
+            chunks.append(a[np.abs(a) <= 1.0])
+            chunks.append(rng.uniform(-1.0, 1.0, 10**5))
+        assert sum(c.size for c in chunks[1::2]) >= 10**7
+        for a in chunks:
+            ours = a.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                T._erf_inplace(ours, *np.empty((3, a.size)))
+            assert np.array_equal(ours.view(np.uint64), erf(a).view(np.uint64))
+
+    # below 2**17 elements one scipy pass; above, chunks of n // 8, at most 2**15
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (64, 64), (3, 5000), (2**17 + 3,), (2**18 + 5,),
+                                       (300, 1001)],
+                             ids=lambda shape: "x".join(map(str, shape)) or "0d")
+    def test_matches_the_whole_array_formula(self, shape):
+        x = np.random.default_rng(23).standard_normal(shape) * 3
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 1.0, 40.0]
+        x.reshape(-1)[: len(specials)] = specials[: x.size]
+        out_want, deriv_want = gelu_whole_array(x)
+        assert_same_bits(T.gelu(Tensor(x)).data, out_want)
+        xt = Tensor(x, requires_grad=True)
+        out = T.gelu(xt)
+        assert_same_bits(out.data, out_want)
+        T.tsum(out).backward()  # an incoming gradient of ones: x.grad is the derivative
+        assert_same_bits(xt.grad, deriv_want)
+
     def test_zero(self):
         assert T.gelu(Tensor(0.0)).data == 0.0
 
@@ -333,7 +402,69 @@ def attention_oracle(qkv, heads):
     return out
 
 
+def attention_whole_batch(qkv, heads, g):
+    """Forward and input gradient of the attention op with every group in
+    one batched call: what the blocked op must match bit for bit."""
+    groups, s, three_w = qkv.shape
+    width = three_w // 3
+    hd = width // heads
+    scale = 1.0 / np.sqrt(hd)
+    split = qkv.reshape(groups, s, 3, heads, hd)
+    q = np.ascontiguousarray(split[:, :, 0].transpose(0, 2, 1, 3))
+    kt = np.ascontiguousarray(split[:, :, 1].transpose(0, 2, 3, 1))
+    v = np.ascontiguousarray(split[:, :, 2].transpose(0, 2, 1, 3))
+    p = q @ kt
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = (p @ v).transpose(0, 2, 1, 3).reshape(groups, s, width)
+    g_ctx = g.reshape(groups, s, heads, hd).transpose(0, 2, 1, 3)
+    dqkv = np.empty((groups, s, 3, heads, hd))
+    d = dqkv.transpose(2, 0, 3, 1, 4)
+    np.matmul(p.swapaxes(-1, -2), g_ctx, out=d[2])
+    dp = g_ctx @ v.swapaxes(-1, -2)
+    dp -= (dp * p).sum(axis=-1, keepdims=True)
+    dp *= p
+    dp *= scale
+    np.matmul(dp, kt.swapaxes(-1, -2), out=d[0])
+    d[1] = (q.swapaxes(-1, -2) @ dp).swapaxes(-1, -2)
+    return out, dqkv.reshape(groups, s, three_w)
+
+
 class TestAttention:
+    # a block holds 2**18 probabilities: 16 of these 37 groups, 1 of these
+    # 5, and all 40 single-token groups
+    @pytest.mark.parametrize("groups,s,heads,hd", [(37, 64, 4, 4), (5, 300, 2, 3), (40, 1, 2, 2)])
+    def test_blocked_matches_whole_batch(self, groups, s, heads, hd):
+        rng = np.random.default_rng(24)
+        qkv = rng.standard_normal((groups, s, 3 * heads * hd))
+        g = rng.standard_normal((groups, s, heads * hd))
+        out_want, dqkv_want = attention_whole_batch(qkv, heads, g)
+        assert T.attention(Tensor(qkv), heads).data.tobytes() == out_want.tobytes()
+        xt = Tensor(qkv, requires_grad=True)
+        out = T.attention(xt, heads)
+        assert out.data.tobytes() == out_want.tobytes()
+        T.tsum(T.mul(out, g)).backward()  # attention's incoming gradient is g
+        assert xt.grad.tobytes() == dqkv_want.tobytes()
+
+    def test_no_tape_holds_one_block_of_probabilities(self):
+        groups, s, heads, hd = 70, 64, 2, 4
+        qkv = np.random.default_rng(25).standard_normal((groups, s, 3 * heads * hd))
+        xt = Tensor(qkv)
+        tracemalloc.start()
+        try:
+            T.attention(xt, heads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_group = heads * s * s * 8
+        block = T._ATTENTION_BLOCK_FLOATS * 8
+        assert block < groups * per_group / 2
+        # the output, q, k^T and v are a third of qkv each; one block's row
+        # maxima (32 KiB) and numpy's ufunc buffer (64 KiB) come on top
+        assert peak <= 4 * qkv.nbytes / 3 + block + 2**17, peak
+
     @pytest.mark.parametrize(
         "groups,s,heads,hd", [(2, 3, 2, 2), (1, 1, 2, 3), (3, 4, 1, 4), (2, 5, 3, 2)]
     )
