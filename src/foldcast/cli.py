@@ -1,8 +1,8 @@
 """Command-line surface: train, eval, bench, ablate, synth, dump-embeddings.
 
 Exit codes: 0 ok, 2 config error, 3 data/checkpoint error, 4 numerical
-divergence. Every command validates its inputs before any model state is
-allocated.
+divergence. Every command validates its inputs, then makes ``--out``,
+before any data loads or model state is allocated.
 """
 from __future__ import annotations
 
@@ -125,6 +125,14 @@ def _resolve(args, require_dataset=True, snapshot_dir=None):
     return run
 
 
+def _make_out_dir(path):
+    """Create the output directory; one that cannot be made is a config error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
+
+
 def _write(path, text):
     with atomic_open(path, encoding="utf-8") as fh:
         fh.write(text)
@@ -133,7 +141,6 @@ def _write(path, text):
 def _write_rows(out_dir, name, columns, rows):
     """Write ``rows`` as CSV text to ``out_dir/name`` and echo them."""
     text = format_rows(columns, rows)
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     _write(path, text)
     print(text, end="")
@@ -146,15 +153,14 @@ def _fmt(v):
 
 def cmd_train(args):
     run = _resolve(args)
+    _make_out_dir(args.out)
     series = load_series(run.dataset)
-    os.makedirs(args.out, exist_ok=True)
     result = train(run.train, series)
     # the snapshot is written only once there is a run for it to describe
     _write(os.path.join(args.out, SNAPSHOT_NAME), C.snapshot(run))
     _write(os.path.join(args.out, LOG_NAME), format_rows(TRAIN_LOG_COLUMNS, result.log_rows))
     save_checkpoint(result.forecaster.params, os.path.join(args.out, CHECKPOINT_NAME))
-    test_w = result.windows[2] or result.windows[1] or result.windows[0]
-    test = evaluate(result.forecaster, test_w, result.stats)
+    test = evaluate(result.forecaster, result.eval_windows, result.stats)
     print(
         f"trained {result.epochs_run} epochs (best epoch {result.best_epoch}, "
         f"val MAE {result.best_val_mae:.6g})"
@@ -167,10 +173,11 @@ def cmd_train(args):
 def _load_checkpoint(args):
     """(run, series, forecaster) for ``args.checkpoint``: the run config
     from ``--config`` or the snapshot beside the checkpoint, its dataset,
-    and the trained model."""
+    and the trained model. Makes ``--out`` before the dataset loads."""
     if not os.path.exists(args.checkpoint):
         raise CheckpointError(f"checkpoint not found: {args.checkpoint}")
     run = _resolve(args, snapshot_dir=os.path.dirname(args.checkpoint))
+    _make_out_dir(args.out)
     series = load_series(run.dataset)
     forecaster = Forecaster.build(
         run.train, series.node_count, series.frequency, np.random.default_rng(0)
@@ -190,7 +197,6 @@ def cmd_eval(args):
         raise DataError(f"no windows in split {args.split!r}")
     per_horizon = [MetricAccumulator() for _ in range(run.train.horizon)]
     overall = evaluate(forecaster, chosen, stats, per_horizon=per_horizon)
-    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"eval_{args.split}.csv")
     with atomic_open(out_path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -233,6 +239,7 @@ def cmd_bench(args):
         for _, sized in _variants(run.train, "subgraph_size", sizes)
         for _, cfg in _variants(sized, "mask_ratio", args.mask_ratios)
     ]
+    _make_out_dir(args.out)
     series = load_series(run.dataset)
     rows = bench(run.train, series, grid, epochs=args.epochs)
     _write_rows(args.out, "bench.csv", BENCH_COLUMNS, rows)
@@ -254,12 +261,12 @@ def cmd_ablate(args):
         # each row reports the analytic epoch time of a trained epoch
         raise ConfigError(f"ablate needs max_epochs >= 1, got {run.train.max_epochs}")
     variants = _variants(run.train, args.axis, args.values or _ABLATE_DEFAULTS[args.axis])
+    _make_out_dir(args.out)
     series = load_series(run.dataset)
     rows = []
     for raw, cfg in variants:
         result = train(cfg, series)
-        test_w = result.windows[2] or result.windows[1] or result.windows[0]
-        test = evaluate(result.forecaster, test_w, result.stats)
+        test = evaluate(result.forecaster, result.eval_windows, result.stats)
         tokens, _ = sample_geometry(result.forecaster.dims, cfg)
         rows.append(
             [
@@ -285,7 +292,7 @@ def cmd_synth(args):
         )
     except ValueError as exc:  # a DataError too: every input here is a flag
         raise ConfigError(f"synth: {exc}") from exc
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     path = args.path or os.path.join(
         args.out, "synthetic.txt" if args.format == "text" else "synthetic.bin"
     )
@@ -296,7 +303,6 @@ def cmd_synth(args):
 
 def cmd_dump_embeddings(args):
     _, _, forecaster = _load_checkpoint(args)
-    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "embeddings.csv")
     export_embeddings(forecaster.params.tables(), out_path)
     print(f"wrote {out_path}")

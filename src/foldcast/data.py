@@ -33,8 +33,8 @@ class TrafficSeries:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise DataError(f"series values must be 2-D, got shape {self.values.shape}")
+        if self.values.ndim != 2 or self.values.shape[1] == 0:
+            raise DataError(f"series must be steps x nodes, nodes >= 1; got {self.values.shape}")
         if self.frequency <= 0:
             raise DataError(f"frequency must be positive, got {self.frequency}")
         if SECONDS_PER_DAY % self.frequency != 0:

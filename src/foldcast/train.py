@@ -82,6 +82,8 @@ class TrainConfig:
                 "split must be three fractions >= 0 with a positive train "
                 f"fraction, summing to 1; got {self.split}"
             )
+        if self.seed < 0:  # SeedSequence takes no negative entropy
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_epochs < 0 or self.patience < 1 or self.batch_size < 1:
             raise ValueError("max_epochs >= 0, patience >= 1, batch_size >= 1 required")
         if min(self.embed_dim, self.ffn_dim, self.heads) < 1 or self.layers < 0:
@@ -220,14 +222,25 @@ def evaluate(forecaster, windows, stats, batch_size=64, accumulator=None, per_ho
 
 @dataclass
 class TrainResult:
+    """One run's record, filled in place by ``train``: a log row and a wall
+    time per epoch, and the best epoch (0, MAE NaN, until one has run)."""
+
     forecaster: Forecaster
     stats: object
     windows: tuple
-    log_rows: list
-    best_epoch: int
-    best_val_mae: float
-    epochs_run: int
+    log_rows: list = field(default_factory=list)
     wall_seconds: list = field(default_factory=list)
+    best_epoch: int = 0
+    best_val_mae: float = float("nan")
+
+    @property
+    def epochs_run(self):
+        return len(self.log_rows)
+
+    @property
+    def eval_windows(self):
+        """The windows a run is scored on: test, else val, else train."""
+        return self.windows[2] or self.windows[1] or self.windows[0]
 
 
 def _rng_streams(seed):
@@ -253,32 +266,27 @@ def train(config, series, progress=None):
     config.validate()
     stats = fit_normalizer(series, config.split[0])
     normed = apply_zscore(series, stats)
-    train_w, val_w, test_w = make_windows(
-        normed, config.t_in, config.horizon, config.split
-    )
+    windows = make_windows(normed, config.t_in, config.horizon, config.split)
+    train_w = windows[0]
     if not train_w:
         raise DataError("no training windows; series too short for the split")
+    val_w = windows[1] or train_w
     init_rng, shuffle_rng, plan_rng = _rng_streams(config.seed)
     forecaster = Forecaster.build(
         config, series.node_count, series.frequency, init_rng
     )
+    result = TrainResult(forecaster, stats, windows)
     params = forecaster.params
     state = T.AdamState()
-
+    est_seconds = estimate_epoch_seconds(forecaster.dims, config, len(train_w), len(val_w))
     best_blobs = params.clone_data()
-    best_val_mae = np.inf
-    best_epoch = 0
     stale = 0
-    log_rows = []
-    wall_seconds = []
-    epochs_run = 0
 
     for epoch in range(1, config.max_epochs + 1):
         lr = lr_at_epoch(config, epoch)
         tick = time.perf_counter()
         order = shuffle_rng.permutation(len(train_w))
-        loss_sum = 0.0
-        loss_batches = 0
+        losses = []
         tokens_processed = 0
         for lo in range(0, len(order), config.batch_size):
             batch = stack_windows([train_w[i] for i in order[lo : lo + config.batch_size]])
@@ -290,29 +298,25 @@ def train(config, series, progress=None):
             params.zero_grads()
             loss.backward()
             T.adam_step(params.tensors, params.grads(), state, lr)
-            loss_sum += loss.item()
+            losses.append(loss.item())
             # the loss's closures hold every activation of the step; drop
             # them before the next forward and the epoch's validation
             del loss
-            loss_batches += 1
             tokens_processed += tokens
         # wall time covers the training section only; validation cost is
         # independent of the visibility settings being benchmarked
-        wall_seconds.append(time.perf_counter() - tick)
-        train_loss = loss_sum / loss_batches
-        val = evaluate(forecaster, val_w or train_w, stats)
-        est_seconds = estimate_epoch_seconds(
-            forecaster.dims, config, len(train_w), len(val_w or train_w)
-        )
-        log_rows.append(
+        result.wall_seconds.append(time.perf_counter() - tick)
+        # partial sums add left to right on every Python; ``sum`` compensates from 3.12
+        train_loss = float(np.cumsum(losses)[-1]) / len(losses)
+        val = evaluate(forecaster, val_w, stats)
+        result.log_rows.append(
             [epoch, lr, train_loss, val.rmse, val.mae, val.mape, est_seconds, tokens_processed]
         )
-        epochs_run = epoch
         if progress is not None:
             progress(epoch, train_loss, val)
-        if val.mae < best_val_mae:
-            best_val_mae = val.mae
-            best_epoch = epoch
+        if val.mae < (result.best_val_mae if result.best_epoch else np.inf):
+            result.best_val_mae = val.mae
+            result.best_epoch = epoch
             best_blobs = params.clone_data()
             stale = 0
         else:
@@ -321,16 +325,7 @@ def train(config, series, progress=None):
                 break
 
     params.load_data(best_blobs)
-    return TrainResult(
-        forecaster=forecaster,
-        stats=stats,
-        windows=(train_w, val_w, test_w),
-        log_rows=log_rows,
-        best_epoch=best_epoch,
-        best_val_mae=float(best_val_mae) if np.isfinite(best_val_mae) else float("nan"),
-        epochs_run=epochs_run,
-        wall_seconds=wall_seconds,
-    )
+    return result
 
 
 def format_rows(columns, rows):

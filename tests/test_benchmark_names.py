@@ -17,11 +17,13 @@ def test_every_name_the_benchmark_wraps_exists(monkeypatch):
     tracing.check_names()
 
 
-@pytest.mark.parametrize("workload", ["desk_train", "pems04_infer"])
+@pytest.mark.parametrize("workload", ["desk_train", "pems04_train", "pems04_infer"])
 def test_benchmark_smoke_run_exits_0(workload):
     # one traced tiny run: its observers read attributes of what foldcast
-    # returns, which the name guard above does not check; pems04_infer's
-    # output checks also compare the taped attention path with the tape-free one
+    # returns, which the name guard above does not check (the training
+    # workloads read ``epochs_run``, ``windows[0]`` and ``log_rows[-1][4]``
+    # of the run record); pems04_infer's output checks also compare the
+    # taped attention path with the tape-free one
     env = {**os.environ, "OMP_NUM_THREADS": "1"}
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 import csv
 import os
+import struct
 import sys
 
 import numpy as np
@@ -195,6 +196,15 @@ class TestTrain:
         assert code == 3
         assert "no training windows" in capsys.readouterr().err
         assert not (tmp_path / "x" / "config.resolved").exists()
+
+    def test_series_without_nodes_exits_3(self, workspace, capsys):
+        tmp_path, cfg, _ = workspace
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"STSF1" + struct.pack("<QQQq", 100, 0, 24, 1609718400))
+        code = main(["train", "--config", str(cfg), "--set", f"dataset={empty}",
+                     "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "nodes >= 1" in capsys.readouterr().err
 
     def test_snapshot_reproduces_run_byte_for_byte(self, workspace):
         tmp_path, cfg, _ = workspace
@@ -391,3 +401,35 @@ class TestDumpEmbeddings:
         assert tables == {"spatial", "tod", "dow"}
         # N=6 spatial rows + 24 tod rows + 7 dow rows
         assert len(rows) == 1 + 6 + 24 + 7
+
+
+class TestBadFlags:
+    @pytest.mark.parametrize("command", ["train", "bench", "ablate", "synth"])
+    def test_negative_seed_exits_2_and_writes_nothing(self, workspace, capsys, command):
+        tmp_path, cfg, _ = workspace
+        out = tmp_path / "x"
+        extra = ["--axis", "folding"] if command == "ablate" else []
+        code = main([command, "--config", str(cfg), "--seed", "-1", *extra, "--out", str(out)])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["train"], ["eval", "--checkpoint", "{cfg}"], ["bench", "--subgraph-sizes", "3"],
+         ["ablate", "--axis", "folding"], ["synth", "--nodes", "3", "--days", "2"],
+         ["dump-embeddings", "--checkpoint", "{cfg}"]],
+        ids=lambda command: command[0],
+    )
+    def test_out_file_exits_2_before_loading_data(self, workspace, monkeypatch, capsys, command):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("loaded data before making --out")
+
+        monkeypatch.setattr(sys.modules["foldcast.cli"], "load_series", no_loading)
+        tmp_path, cfg, _ = workspace
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        argv = [arg.format(cfg=cfg) for arg in command]
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"

@@ -79,6 +79,8 @@ class TestResolve:
             resolve({}, {"mask_ratio": "1.5"})
         with pytest.raises(ConfigError):
             resolve({}, {"folding": "diagonal"})
+        with pytest.raises(ConfigError, match="seed"):
+            resolve({}, {"seed": "-1"})
 
     def test_split_fractions_checked(self):
         for raw in ("0.5,0.6,-0.1", "0,0.5,0.5", "0.6,0.2,0.1", "0.7,0.2,0.2",

@@ -62,6 +62,14 @@ class TestLoadSave:
         with pytest.raises(DataError, match=match):
             load_series(path)
 
+    def test_series_without_nodes_rejected(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(BINARY_MAGIC + struct.pack("<QQQq", 100, 0, 24, MONDAY))
+        with pytest.raises(DataError, match="nodes >= 1"):
+            load_series(path)
+        with pytest.raises(DataError, match="nodes >= 1"):
+            series_from(np.zeros((100, 0)))
+
     def test_binary_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.bin"
         save_series(series_from([[1.0, 2.0], [3.0, 4.0]]), path, format="binary")

@@ -1,6 +1,6 @@
 """Training loop behavior: schedule, early stopping, convergence,
 train/inference consistency, graph release, and resource accounting."""
-import importlib
+import math
 import tracemalloc
 import weakref
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import foldcast.tensor as T
+import foldcast.train as TRAIN_MODULE
 import foldcast.visibility as V
 from foldcast.data import (
     SampleWindow,
@@ -41,10 +42,6 @@ from foldcast.train import (
 )
 
 from graphwalk import base_array, retained_arrays, retained_words, step_peak
-
-# the package re-exports the function ``train``, so the module is looked up
-# by its full name
-TRAIN_MODULE = importlib.import_module("foldcast.train")
 
 MONDAY = 1609718400
 
@@ -98,7 +95,9 @@ class TestTrainLoop:
         cfg = tiny_config(max_epochs=0)
         series = sinusoid_series()
         result = train(cfg, series)
-        assert result.log_rows == []
+        assert result.log_rows == [] and result.wall_seconds == []
+        assert (result.epochs_run, result.best_epoch) == (0, 0)
+        assert math.isnan(result.best_val_mae)
         # rebuild with the same seed stream: identical arrays
         from foldcast.train import _rng_streams
 
@@ -142,6 +141,25 @@ class TestTrainLoop:
         cfg = tiny_config(max_epochs=60, patience=2, lr=1e-2, seed=5)
         result = train(cfg, sinusoid_series(seed=5))
         assert result.epochs_run < 60
+        assert result.epochs_run == len(result.log_rows) == len(result.wall_seconds)
+        assert result.epochs_run == result.best_epoch + cfg.patience
+
+    @pytest.mark.parametrize(
+        "split,scored", [((0.6, 0.2, 0.2), 2), ((0.8, 0.2, 0.0), 1), ((1.0, 0.0, 0.0), 0)]
+    )
+    def test_eval_windows_fall_back_to_val_then_train(self, split, scored):
+        result = train(tiny_config(max_epochs=0, split=split), sinusoid_series())
+        assert result.windows[scored]
+        assert result.eval_windows is result.windows[scored]
+
+    def test_record_holds_no_optimizer_state(self):
+        # a caller may keep one result alive while the next run trains, so
+        # Adam's moments, the RNGs and the best-parameter copy stay local
+        result = train(tiny_config(max_epochs=2), sinusoid_series())
+        assert set(vars(result)) == {
+            "forecaster", "stats", "windows", "log_rows", "wall_seconds",
+            "best_epoch", "best_val_mae",
+        }
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
