@@ -1,8 +1,9 @@
 """Command-line surface: train, eval, bench, ablate, synth, dump-embeddings.
 
 Exit codes: 0 ok, 2 config error, 3 data/checkpoint error, 4 numerical
-divergence. Every command validates its inputs, then makes ``--out``,
-before any data loads or model state is allocated.
+divergence. Every command validates its inputs, then makes ``--out``
+(``synth``: the directory of the file it writes), before any data loads
+or model state is allocated.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import config as C
-from .checkpoint import load_into, save_checkpoint
+from .checkpoint import load_into, read_checkpoint, save_checkpoint
 from .data import apply_zscore, fit_normalizer, load_series, make_windows, save_series
 from .errors import CheckpointError, ConfigError, DataError, DivergenceError
 from .fileio import atomic_open
@@ -109,13 +110,16 @@ def _overrides(args):
 
 
 def _resolve(args, require_dataset=True, snapshot_dir=None):
+    """The run config from ``--config``, else (given ``snapshot_dir``) from
+    the snapshot there, which must then exist, else from the defaults."""
     file_values = None
     if args.config:
         file_values = C.parse_config_file(args.config)
     elif snapshot_dir is not None:
         snap = os.path.join(snapshot_dir, SNAPSHOT_NAME)
-        if os.path.exists(snap):
-            file_values = C.parse_config_file(snap)
+        if not os.path.exists(snap):
+            raise ConfigError(f"no run config: pass --config or keep {snap} beside the checkpoint")
+        file_values = C.parse_config_file(snap)
     run = C.resolve(file_values, _overrides(args))
     if require_dataset:
         if not run.dataset:
@@ -170,10 +174,7 @@ def cmd_train(args):
     return 0
 
 
-def _load_checkpoint(args):
-    """(run, series, forecaster) for ``args.checkpoint``: the run config
-    from ``--config`` or the snapshot beside the checkpoint, its dataset,
-    and the trained model. Makes ``--out`` before the dataset loads."""
+def cmd_eval(args):
     if not os.path.exists(args.checkpoint):
         raise CheckpointError(f"checkpoint not found: {args.checkpoint}")
     run = _resolve(args, snapshot_dir=os.path.dirname(args.checkpoint))
@@ -183,11 +184,6 @@ def _load_checkpoint(args):
         run.train, series.node_count, series.frequency, np.random.default_rng(0)
     )
     load_into(forecaster.params, args.checkpoint)
-    return run, series, forecaster
-
-
-def cmd_eval(args):
-    run, series, forecaster = _load_checkpoint(args)
     stats = fit_normalizer(series, run.train.split[0])
     windows = make_windows(
         apply_zscore(series, stats), run.train.t_in, run.train.horizon, run.train.split
@@ -267,7 +263,7 @@ def cmd_ablate(args):
     for raw, cfg in variants:
         result = train(cfg, series)
         test = evaluate(result.forecaster, result.eval_windows, result.stats)
-        tokens, _ = sample_geometry(result.forecaster.dims, cfg)
+        tokens, _ = sample_geometry(cfg, series.node_count)
         rows.append(
             [
                 args.axis,
@@ -292,19 +288,24 @@ def cmd_synth(args):
         )
     except ValueError as exc:  # a DataError too: every input here is a flag
         raise ConfigError(f"synth: {exc}") from exc
-    _make_out_dir(args.out)
     path = args.path or os.path.join(
         args.out, "synthetic.txt" if args.format == "text" else "synthetic.bin"
     )
+    _make_out_dir(os.path.dirname(path) or ".")
     save_series(series, path, format=args.format)
     print(f"wrote {path} ({series.step_count} steps x {series.node_count} nodes)")
     return 0
 
 
 def cmd_dump_embeddings(args):
-    _, _, forecaster = _load_checkpoint(args)
+    _resolve(args, require_dataset=False)  # checks --set and --seed; the tables need no config
+    _make_out_dir(args.out)
+    _, blobs = read_checkpoint(args.checkpoint)
+    tables = [blobs.get(name) for name in ("embed.wx", "embed.tod", "embed.dow")]
+    if any(t is None or t.ndim != 2 for t in tables):
+        raise CheckpointError(f"{args.checkpoint}: needs 2-D embed.wx, embed.tod and embed.dow")
     out_path = os.path.join(args.out, "embeddings.csv")
-    export_embeddings(forecaster.params.tables(), out_path)
+    export_embeddings(blobs, out_path)
     print(f"wrote {out_path}")
     return 0
 

@@ -9,7 +9,6 @@ permutation-equivariant over it.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,33 +19,6 @@ from .tokenize import EmbeddingTables
 TFG = "TFG"
 SF = "SF"
 TOKEN_PARTS = {TFG: 4, SF: 3}  # d-wide embeddings per token; SF has no spatial one
-
-
-@dataclass
-class ModelDims:
-    """Everything needed to size the parameter arrays."""
-
-    t_in: int
-    horizon: int
-    embed_dim: int  # d; tokens are TOKEN_PARTS[folding] * d wide
-    ffn_dim: int
-    heads: int
-    layers: int
-    n_nodes: int
-    frequency: int
-    folding: str = TFG
-
-    @property
-    def width(self):
-        return TOKEN_PARTS[self.folding] * self.embed_dim
-
-    @property
-    def folded_shape(self):
-        """(tokens, features, outputs) of one full-graph sample: (N, T, T')
-        under TFG, a token per node; (T, N, N) under SF, a token per step."""
-        if self.folding == TFG:
-            return self.n_nodes, self.t_in, self.horizon
-        return self.t_in, self.n_nodes, self.n_nodes
 
 
 class ModelParams:
@@ -118,21 +90,23 @@ def _uniform(rng, fan_in, shape):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def build_params(dims, rng):
-    """Initialize all learnable arrays: uniform(+-1/sqrt(fan_in)) for
-    projections, normal(0, 0.02) for embedding tables, zeros for biases,
-    ones/zeros for layer-norm affines."""
+def build_params(config, n_nodes, frequency, rng):
+    """Initialize all learnable arrays for ``config`` (a ``TrainConfig``)
+    over ``n_nodes`` nodes: uniform(+-1/sqrt(fan_in)) for projections,
+    normal(0, 0.02) for embedding tables, zeros for biases, ones/zeros for
+    layer-norm affines."""
     params = ModelParams()
-    d = dims.embed_dim
-    w = dims.width
-    _, features, outputs = dims.folded_shape
+    d = config.embed_dim
+    f = config.ffn_dim
+    w = config.width
+    _, features, outputs = config.folded_shape(n_nodes)
     params.add("embed.wx", _uniform(rng, features, (features, d)))
     params.add("embed.wx_b", np.zeros(d))
-    if dims.folding == TFG:
-        params.add("embed.s", rng.normal(0.0, 0.02, size=(dims.n_nodes, d)))
-    params.add("embed.tod", rng.normal(0.0, 0.02, size=(dims.frequency, d)))
+    if config.folding == TFG:
+        params.add("embed.s", rng.normal(0.0, 0.02, size=(n_nodes, d)))
+    params.add("embed.tod", rng.normal(0.0, 0.02, size=(frequency, d)))
     params.add("embed.dow", rng.normal(0.0, 0.02, size=(7, d)))
-    for i in range(dims.layers):
+    for i in range(config.layers):
         params.add(f"enc.{i}.ln1.g", np.ones(w))
         params.add(f"enc.{i}.ln1.b", np.zeros(w))
         params.add(f"enc.{i}.qkv", _uniform(rng, w, (w, 3 * w)))
@@ -141,19 +115,19 @@ def build_params(dims, rng):
         params.add(f"enc.{i}.wo_b", np.zeros(w))
         params.add(f"enc.{i}.ln2.g", np.ones(w))
         params.add(f"enc.{i}.ln2.b", np.zeros(w))
-        params.add(f"enc.{i}.ffn1", _uniform(rng, w, (w, dims.ffn_dim)))
-        params.add(f"enc.{i}.ffn1_b", np.zeros(dims.ffn_dim))
-        params.add(f"enc.{i}.ffn2", _uniform(rng, dims.ffn_dim, (dims.ffn_dim, w)))
+        params.add(f"enc.{i}.ffn1", _uniform(rng, w, (w, f)))
+        params.add(f"enc.{i}.ffn1_b", np.zeros(f))
+        params.add(f"enc.{i}.ffn2", _uniform(rng, f, (f, w)))
         params.add(f"enc.{i}.ffn2_b", np.zeros(w))
-    params.add("head.0", _uniform(rng, w, (w, dims.ffn_dim)))
-    params.add("head.0_b", np.zeros(dims.ffn_dim))
-    params.add("head.1", _uniform(rng, dims.ffn_dim, (dims.ffn_dim, outputs)))
+    params.add("head.0", _uniform(rng, w, (w, f)))
+    params.add("head.0_b", np.zeros(f))
+    params.add("head.1", _uniform(rng, f, (f, outputs)))
     params.add("head.1_b", np.zeros(outputs))
-    if dims.folding == SF:
+    if config.folding == SF:
         # SF emits one all-node forecast per time-step token; a final
         # linear over the time axis maps T tokens onto the T' horizon.
-        params.add("sf.time", _uniform(rng, dims.t_in, (dims.t_in, dims.horizon)))
-        params.add("sf.time_b", np.zeros(dims.horizon))
+        params.add("sf.time", _uniform(rng, config.t_in, (config.t_in, config.horizon)))
+        params.add("sf.time_b", np.zeros(config.horizon))
     return params
 
 

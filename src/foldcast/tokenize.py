@@ -35,10 +35,6 @@ class EmbeddingTables:
     tod: Tensor
     dow: Tensor
 
-    @property
-    def dim(self):
-        return self.wx.shape[1]
-
 
 def fuse_embeddings_batch(tokens, tables, tod_indices, dow_indices):
     """Batched fusion: (B, L, F) folded tokens -> (B, L, width) tensor.
@@ -67,15 +63,15 @@ def fuse_embeddings_batch(tokens, tables, tod_indices, dow_indices):
     return T.concat_lastdim(parts)
 
 
-def export_embeddings(tables, path):
-    """Write the spatial/tod/dow tables as CSV for offline projection
-    (e.g. t-SNE): header ``table,index,dim0..dim{d-1}``, one row per entry."""
-    d = tables.dim
+def export_embeddings(blobs, path):
+    """Write a checkpoint's spatial/tod/dow tables (``blobs``: parameter
+    name -> array) as CSV for offline projection (e.g. t-SNE): header
+    ``table,index,dim0..dim{d-1}``, d the width of ``embed.wx``, then one
+    row per entry. SF checkpoints have no spatial table."""
+    d = blobs["embed.wx"].shape[1]
     with atomic_open(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["table", "index"] + [f"dim{i}" for i in range(d)])
-        for name, tbl in (("spatial", tables.spatial), ("tod", tables.tod), ("dow", tables.dow)):
-            if tbl is None:
-                continue
-            for idx, row in enumerate(tbl.data):
+        for name, key in (("spatial", "embed.s"), ("tod", "embed.tod"), ("dow", "embed.dow")):
+            for idx, row in enumerate(blobs.get(key, ())):
                 writer.writerow([name, idx] + [repr(float(v)) for v in row])

@@ -59,6 +59,18 @@ class TrainConfig:
     max_epochs: int = 100
     split: tuple = (0.6, 0.2, 0.2)
 
+    @property
+    def width(self):
+        """Token width: TOKEN_PARTS[folding] embeddings of d each."""
+        return M.TOKEN_PARTS[self.folding] * self.embed_dim
+
+    def folded_shape(self, n_nodes):
+        """(tokens, features, outputs) of one full-graph sample: (N, T, T')
+        under TFG, a token per node; (T, N, N) under SF, a token per step."""
+        if self.folding == M.TFG:
+            return n_nodes, self.t_in, self.horizon
+        return self.t_in, n_nodes, n_nodes
+
     def validate(self):
         if self.t_in < 1 or self.horizon < 1:
             raise ValueError("t_in and horizon must be >= 1")
@@ -88,10 +100,9 @@ class TrainConfig:
             raise ValueError("max_epochs >= 0, patience >= 1, batch_size >= 1 required")
         if min(self.embed_dim, self.ffn_dim, self.heads) < 1 or self.layers < 0:
             raise ValueError("embed_dim, ffn_dim, heads >= 1 and layers >= 0 required")
-        width = M.TOKEN_PARTS[self.folding] * self.embed_dim
-        if width % self.heads != 0:
+        if self.width % self.heads != 0:
             raise ValueError(
-                f"heads ({self.heads}) must divide the token width ({width})"
+                f"heads ({self.heads}) must divide the token width ({self.width})"
             )
 
 
@@ -103,41 +114,32 @@ def lr_at_epoch(config, epoch):
 
 
 class Forecaster:
-    """Model parameters plus the forward paths for both folding modes."""
+    """Parameters sized by ``config`` over ``n_nodes`` nodes, plus the
+    forward paths for both folding modes."""
 
-    def __init__(self, dims, params):
-        self.dims = dims
+    def __init__(self, config, n_nodes, params):
+        self.config = config
+        self.n_nodes = n_nodes
         self.params = params
 
     @classmethod
     def build(cls, config, n_nodes, frequency, rng):
-        dims = M.ModelDims(
-            t_in=config.t_in,
-            horizon=config.horizon,
-            embed_dim=config.embed_dim,
-            ffn_dim=config.ffn_dim,
-            heads=config.heads,
-            layers=config.layers,
-            n_nodes=n_nodes,
-            frequency=frequency,
-            folding=config.folding,
-        )
-        return cls(dims, M.build_params(dims, rng))
+        return cls(config, n_nodes, M.build_params(config, n_nodes, frequency, rng))
 
     def fuse(self, inputs, tod, dow):
-        """(B, N, T) inputs -> (B, tokens, width), ``dims.folded_shape``'s tokens."""
-        tokens = inputs if self.dims.folding == M.TFG else inputs.transpose(0, 2, 1)
+        """(B, N, T) inputs -> (B, tokens, width), ``config.folded_shape``'s tokens."""
+        tokens = inputs if self.config.folding == M.TFG else inputs.transpose(0, 2, 1)
         return fuse_embeddings_batch(tokens, self.params.tables(), tod, dow)
 
     def encode_and_predict(self, z0):
-        z = M.encoder_forward(z0, self.params, self.dims.layers, self.dims.heads)
+        z = M.encoder_forward(z0, self.params, self.config.layers, self.config.heads)
         return M.predict(z, self.params)
 
     def forward_inference(self, inputs, tod, dow):
         """Full-graph forward; (B, N, T) -> (B, N, T') tensor."""
         fused = self.fuse(inputs, tod, dow)
         preds = self.encode_and_predict(fused)
-        if self.dims.folding == M.TFG:
+        if self.config.folding == M.TFG:
             return preds
         # SF: (B, T, N) per-token forecasts -> time-axis map onto horizon
         node_major = T.transpose(preds, (0, 2, 1))
@@ -151,19 +153,18 @@ def effective_subgraph_size(n_nodes, mask_ratio, subgraph_size):
     return max(1, min(subgraph_size, n_nodes - m))
 
 
-def sample_geometry(dims, config):
+def sample_geometry(config, n_nodes):
     """(tokens, group_size) one training sample puts through the encoder:
     K*s visible slots in groups of s under node-level masking, else the
     whole folded sample as one group (SF, or all N nodes perturbed)."""
-    if dims.folding == M.SF or config.mask_strategy != "node_level":
-        tokens = dims.folded_shape[0]
+    if config.folding == M.SF or config.mask_strategy != "node_level":
+        tokens = config.folded_shape(n_nodes)[0]
         return tokens, tokens
-    n = dims.n_nodes
-    s = effective_subgraph_size(n, config.mask_ratio, config.subgraph_size)
-    return visible_token_count(n, config.mask_ratio, s), s
+    s = effective_subgraph_size(n_nodes, config.mask_ratio, config.subgraph_size)
+    return visible_token_count(n_nodes, config.mask_ratio, s), s
 
 
-def training_forward(forecaster, config, inputs, targets, tod, dow, plan_rng):
+def training_forward(forecaster, inputs, targets, tod, dow, plan_rng):
     """One training-mode forward: fuse, apply visibility, encode, predict.
 
     Returns (loss tensor, visible token count). Node-level masking puts
@@ -171,16 +172,16 @@ def training_forward(forecaster, config, inputs, targets, tod, dow, plan_rng):
     over the kept nodes; SF mode and the perturbation strategies run the
     full graph, every node visible and incurring loss.
     """
-    dims = forecaster.dims
+    config = forecaster.config
     b = inputs.shape[0]
-    tokens, s = sample_geometry(dims, config)
+    tokens, s = sample_geometry(config, forecaster.n_nodes)
     include = None
-    if dims.folding == M.SF:
+    if config.folding == M.SF:
         preds = forecaster.forward_inference(inputs, tod, dow)
     else:
         fused = forecaster.fuse(inputs, tod, dow)
         plans = [
-            V.plan_visibility(dims.n_nodes, config.mask_ratio, s, plan_rng) for _ in range(b)
+            V.plan_visibility(forecaster.n_nodes, config.mask_ratio, s, plan_rng) for _ in range(b)
         ]
         if config.mask_strategy == "node_level":
             z0 = V.apply_visibility_batch(fused, plans)
@@ -278,7 +279,7 @@ def train(config, series, progress=None):
     result = TrainResult(forecaster, stats, windows)
     params = forecaster.params
     state = T.AdamState()
-    est_seconds = estimate_epoch_seconds(forecaster.dims, config, len(train_w), len(val_w))
+    est_seconds = estimate_epoch_seconds(config, series.node_count, len(train_w), len(val_w))
     best_blobs = params.clone_data()
     stale = 0
 
@@ -290,7 +291,7 @@ def train(config, series, progress=None):
         tokens_processed = 0
         for lo in range(0, len(order), config.batch_size):
             batch = stack_windows([train_w[i] for i in order[lo : lo + config.batch_size]])
-            loss, tokens = training_forward(forecaster, config, *batch, plan_rng)
+            loss, tokens = training_forward(forecaster, *batch, plan_rng)
             if not np.isfinite(loss.data):
                 raise DivergenceError(
                     f"non-finite training loss at epoch {epoch}"
@@ -361,12 +362,12 @@ def attention_pair_count(n_nodes, mask_ratio, subgraph_size):
     return visible_token_count(n_nodes, mask_ratio, subgraph_size) * subgraph_size
 
 
-def forward_flops_per_sample(dims, tokens, group_size):
+def forward_flops_per_sample(config, n_nodes, tokens, group_size):
     """Multiply-add count of one forward over ``tokens`` slots in groups of ``group_size``."""
-    w = dims.width
-    f = dims.ffn_dim
-    fold_tokens, features, outputs = dims.folded_shape
-    flops = fold_tokens * features * dims.embed_dim * 2
+    w = config.width
+    f = config.ffn_dim
+    fold_tokens, features, outputs = config.folded_shape(n_nodes)
+    flops = fold_tokens * features * config.embed_dim * 2
     per_layer = (
         tokens * w * 3 * w * 2  # qkv
         + tokens * group_size * w * 2 * 2  # scores and weighted values, all heads
@@ -374,21 +375,21 @@ def forward_flops_per_sample(dims, tokens, group_size):
         + tokens * (w * f + f * w) * 2  # ffn
     )
     head = tokens * (w * f + f * outputs) * 2
-    return flops + dims.layers * per_layer + head
+    return flops + config.layers * per_layer + head
 
 
-def estimate_epoch_seconds(dims, config, n_train, n_val):
+def estimate_epoch_seconds(config, n_nodes, n_train, n_val):
     """Deterministic per-epoch cost estimate: forward+backward over the
     training windows plus a forward over the validation windows, at a
     fixed nominal FLOP rate."""
-    train_fwd = forward_flops_per_sample(dims, *sample_geometry(dims, config))
-    seq = dims.folded_shape[0]
-    infer_fwd = forward_flops_per_sample(dims, seq, seq)
+    train_fwd = forward_flops_per_sample(config, n_nodes, *sample_geometry(config, n_nodes))
+    seq = config.folded_shape(n_nodes)[0]
+    infer_fwd = forward_flops_per_sample(config, n_nodes, seq, seq)
     total = 3 * train_fwd * n_train + infer_fwd * n_val
     return total / NOMINAL_FLOPS_PER_SECOND
 
 
-def activation_float_count(forecaster, config, windows):
+def activation_float_count(forecaster, windows):
     """8-byte words one training step's graph holds: the numpy buffers a
     ``training_forward`` over ``windows`` allocates that are still alive
     while its loss is, measured with ``tracemalloc``. Boolean masks and
@@ -404,7 +405,7 @@ def activation_float_count(forecaster, config, windows):
     try:
         before = numpy_bytes()
         loss, _ = training_forward(
-            forecaster, config, *stack_windows(windows), np.random.default_rng(config.seed)
+            forecaster, *stack_windows(windows), np.random.default_rng(forecaster.config.seed)
         )
         held = numpy_bytes() - before  # taken while ``loss`` keeps the graph alive
     finally:
@@ -438,9 +439,9 @@ def bench(config, series, grid, epochs=3):
                 f"r{r}_s{s}",
                 r,
                 s,
-                sample_geometry(forecaster.dims, cfg)[0],
+                sample_geometry(cfg, forecaster.n_nodes)[0],
                 forecaster.params.param_count(),
-                activation_float_count(forecaster, cfg, result.windows[0][: cfg.batch_size]),
+                activation_float_count(forecaster, result.windows[0][: cfg.batch_size]),
                 min(result.wall_seconds),
             ]
         )

@@ -7,15 +7,13 @@ import pytest
 
 from foldcast.checkpoint import VERSION, load_into, read_checkpoint, save_checkpoint
 from foldcast.errors import CheckpointError
-from foldcast.model import ModelDims, build_params
+from foldcast.model import build_params
+from foldcast.train import TrainConfig
 
 
 def small_params(seed=0, n_nodes=4):
-    dims = ModelDims(
-        t_in=3, horizon=2, embed_dim=4, ffn_dim=6, heads=2,
-        layers=1, n_nodes=n_nodes, frequency=12,
-    )
-    return build_params(dims, np.random.default_rng(seed))
+    cfg = TrainConfig(t_in=3, horizon=2, embed_dim=4, ffn_dim=6, heads=2, layers=1)
+    return build_params(cfg, n_nodes, 12, np.random.default_rng(seed))
 
 
 def crafted_checkpoint(name, dims, payload=b""):

@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from foldcast.checkpoint import save_checkpoint
 from foldcast.cli import _write, main
+from foldcast.model import ModelParams
 
 TINY = """\
 dataset = {dataset}
@@ -98,6 +100,14 @@ class TestSynth:
         out = tmp_path / "x"
         assert main(["synth", flag, value, "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_path_makes_its_own_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["synth", "--nodes", "2", "--days", "1", "--freq", "12",
+                     "--path", os.path.join("nodir", "x.txt")])
+        assert code == 0
+        assert (tmp_path / "nodir" / "x.txt").is_file()
+        assert os.listdir(tmp_path) == ["nodir"]  # no empty default --out beside it
 
     def test_noiseless_signal_is_phase_deterministic(self, tmp_path):
         from foldcast.data import ha_fit, load_series, make_windows
@@ -258,6 +268,19 @@ class TestEval:
         # per-horizon rows follow
         assert len(eval_rows) == 2 + 3
 
+    def test_no_config_source_exits_2(self, workspace, capsys):
+        tmp_path, cfg, data = workspace
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        argv = ["eval", "--checkpoint", str(out / "checkpoint.bin"), "--dataset", str(data),
+                "--out", str(out)]
+        assert main(argv) == 0  # sized by the snapshot beside the checkpoint
+        (out / "config.resolved").unlink()
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--config" in err and "config.resolved" in err
+
     def test_corrupt_checkpoint_exits_3(self, workspace):
         tmp_path, cfg, _ = workspace
         out = tmp_path / "run"
@@ -402,13 +425,44 @@ class TestDumpEmbeddings:
         # N=6 spatial rows + 24 tod rows + 7 dow rows
         assert len(rows) == 1 + 6 + 24 + 7
 
+    @pytest.mark.parametrize("folding", ["TFG", "SF"])
+    def test_needs_only_the_checkpoint(self, workspace, folding):
+        tmp_path, cfg, data = workspace
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--set", f"folding={folding}",
+                     "--out", str(run)]) == 0
+        dumps = []
+        for name in ("with_data", "data_moved"):
+            if dumps:
+                data.rename(tmp_path / "moved.txt")
+            out = tmp_path / name
+            assert main(["dump-embeddings", "--checkpoint", str(run / "checkpoint.bin"),
+                         "--out", str(out)]) == 0
+            dumps.append((out / "embeddings.csv").read_bytes())
+        assert dumps[0] == dumps[1]
+        tables = {line.split(",")[0] for line in dumps[0].decode().splitlines()[1:]}
+        assert tables == ({"spatial", "tod", "dow"} if folding == "TFG" else {"tod", "dow"})
+
+    def test_checkpoint_without_tables_exits_3(self, tmp_path, capsys):
+        params = ModelParams()
+        params.add("embed.wx", np.ones((3, 4)))
+        params.add("embed.tod", np.ones((12, 4)))
+        ck = tmp_path / "partial.bin"
+        save_checkpoint(params, ck)
+        code = main(["dump-embeddings", "--checkpoint", str(ck), "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "embed.dow" in capsys.readouterr().err
+
 
 class TestBadFlags:
-    @pytest.mark.parametrize("command", ["train", "bench", "ablate", "synth"])
+    @pytest.mark.parametrize(
+        "command", ["train", "eval", "bench", "ablate", "synth", "dump-embeddings"]
+    )
     def test_negative_seed_exits_2_and_writes_nothing(self, workspace, capsys, command):
         tmp_path, cfg, _ = workspace
         out = tmp_path / "x"
-        extra = ["--axis", "folding"] if command == "ablate" else []
+        extra = {"ablate": ["--axis", "folding"], "eval": ["--checkpoint", str(cfg)],
+                 "dump-embeddings": ["--checkpoint", str(cfg)]}.get(command, [])
         code = main([command, "--config", str(cfg), "--seed", "-1", *extra, "--out", str(out)])
         assert code == 2
         assert "seed" in capsys.readouterr().err

@@ -4,25 +4,23 @@ import numpy as np
 import pytest
 
 import foldcast.tensor as T
-from foldcast.model import ModelDims, build_params, encoder_forward, msa, predict
+from foldcast.model import build_params, encoder_forward, msa, predict
 from foldcast.tensor import Tensor
 from foldcast.train import TrainConfig
 
 from fdcheck import central_diff, max_rel_err
 
 
-def toy_dims(width=8, heads=2, ffn=6, layers=1, horizon=2):
-    # embed_dim is width/4 so that dims.width lands on the requested width
-    return ModelDims(
-        t_in=3,
-        horizon=horizon,
-        embed_dim=width // 4,
-        ffn_dim=ffn,
-        heads=heads,
-        layers=layers,
-        n_nodes=4,
-        frequency=12,
+def toy_config(width=8, heads=2, ffn=6, layers=1, horizon=2):
+    # embed_dim is width/4 so that the TFG token width lands on the requested width
+    return TrainConfig(
+        t_in=3, horizon=horizon, embed_dim=width // 4, ffn_dim=ffn, heads=heads, layers=layers
     )
+
+
+def toy_params(cfg, rng):
+    """Parameters of ``cfg`` over 4 nodes with 12 steps a day."""
+    return build_params(cfg, 4, 12, rng)
 
 
 def loop_attention(z, params, heads):
@@ -61,14 +59,9 @@ class TestMSA:
         # the PEMS04 profile is TrainConfig's default
         config = TrainConfig()
         config.validate()
-        dims = ModelDims(
-            t_in=config.t_in, horizon=config.horizon, embed_dim=config.embed_dim,
-            ffn_dim=config.ffn_dim, heads=config.heads, layers=config.layers,
-            n_nodes=307, frequency=288,
-        )
-        assert dims.width == 256
-        assert dims.width // dims.heads == 64
-        assert np.sqrt(dims.width // dims.heads) == 8.0
+        assert config.width == 256
+        assert config.width // config.heads == 64
+        assert np.sqrt(config.width // config.heads) == 8.0
 
     def test_heads_must_divide_width(self):
         # embed_dim 2 makes the TFG token width 8
@@ -77,11 +70,11 @@ class TestMSA:
 
     def test_single_token_attention_is_value_projection(self):
         rng = np.random.default_rng(0)
-        dims = toy_dims()
-        params = build_params(dims, rng)
+        cfg = toy_config()
+        params = toy_params(cfg, rng)
         z = rng.standard_normal((2, 1, 8))
-        out = msa(Tensor(z), params, 0, dims.heads).data
-        w = dims.width
+        out = msa(Tensor(z), params, 0, cfg.heads).data
+        w = cfg.width
         qkv = z @ params["enc.0.qkv"].data + params["enc.0.qkv_b"].data
         v = qkv[..., 2 * w :]
         expected = v @ params["enc.0.wo"].data + params["enc.0.wo_b"].data
@@ -89,11 +82,11 @@ class TestMSA:
 
     def test_matches_loop_oracle_on_three_tokens(self):
         rng = np.random.default_rng(1)
-        dims = toy_dims()
-        params = build_params(dims, rng)
+        cfg = toy_config()
+        params = toy_params(cfg, rng)
         z = rng.standard_normal((2, 3, 8))
-        ours = msa(Tensor(z), params, 0, dims.heads).data
-        oracle = loop_attention(z, params, dims.heads)
+        ours = msa(Tensor(z), params, 0, cfg.heads).data
+        oracle = loop_attention(z, params, cfg.heads)
         assert np.max(np.abs(ours - oracle)) < 1e-10
 
     def test_attention_rows_sum_to_one(self):
@@ -124,8 +117,8 @@ class TestFusedParity:
     @pytest.mark.parametrize("groups,s,width,heads", [(3, 5, 8, 2), (2, 1, 8, 2), (4, 7, 16, 4)])
     def test_msa_bitwise_equals_unfused_chain(self, groups, s, width, heads):
         rng = np.random.default_rng(11)
-        dims = toy_dims(width=width, heads=heads)
-        params = build_params(dims, rng)
+        cfg = toy_config(width=width, heads=heads)
+        params = toy_params(cfg, rng)
         for name in ("enc.0.qkv_b", "enc.0.wo_b"):
             params[name].data = rng.standard_normal(params[name].shape)
         z0 = rng.standard_normal((groups, s, width))
@@ -148,43 +141,43 @@ class TestFusedParity:
 class TestEncoder:
     def test_zeroed_branch_outputs_make_identity(self):
         rng = np.random.default_rng(3)
-        dims = toy_dims(layers=2)
-        params = build_params(dims, rng)
+        cfg = toy_config(layers=2)
+        params = toy_params(cfg, rng)
         for i in range(2):
             for name in (f"enc.{i}.wo", f"enc.{i}.wo_b", f"enc.{i}.ffn2", f"enc.{i}.ffn2_b"):
                 params[name].data[:] = 0.0
         z0 = rng.standard_normal((3, 4, 8))
-        out = encoder_forward(Tensor(z0), params, dims.layers, dims.heads)
+        out = encoder_forward(Tensor(z0), params, cfg.layers, cfg.heads)
         assert np.array_equal(out.data, z0)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
-        dims = toy_dims()
-        params = build_params(dims, rng)
+        cfg = toy_config()
+        params = toy_params(cfg, rng)
         z0 = rng.standard_normal((2, 6, 8))
         perm = rng.permutation(6)
-        base = predict(encoder_forward(Tensor(z0), params, 1, dims.heads), params).data
+        base = predict(encoder_forward(Tensor(z0), params, 1, cfg.heads), params).data
         permuted = predict(
-            encoder_forward(Tensor(z0[:, perm]), params, 1, dims.heads), params
+            encoder_forward(Tensor(z0[:, perm]), params, 1, cfg.heads), params
         ).data
         assert np.max(np.abs(permuted - base[:, perm])) < 1e-10
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(5)
-        dims = toy_dims()
-        params = build_params(dims, rng)
+        cfg = toy_config()
+        params = toy_params(cfg, rng)
         z0 = rng.standard_normal((2, 3, 8))
         w = rng.standard_normal((2, 3, 8))
 
         zt = Tensor(z0, requires_grad=True)
-        loss = T.tsum(T.mul(encoder_forward(zt, params, 1, dims.heads), w))
+        loss = T.tsum(T.mul(encoder_forward(zt, params, 1, cfg.heads), w))
         loss.backward()
 
         def run(names_values):
             saved = {n: params[n].data.copy() for n in names_values}
             for n, v in names_values.items():
                 params[n].data = v
-            out = encoder_forward(Tensor(z0), params, 1, dims.heads).data
+            out = encoder_forward(Tensor(z0), params, 1, cfg.heads).data
             for n, v in saved.items():
                 params[n].data = v
             return float((out * w).sum())
@@ -192,7 +185,7 @@ class TestEncoder:
         # input gradient
         fd_z = central_diff(
             lambda v: float(
-                (encoder_forward(Tensor(v), params, 1, dims.heads).data * w).sum()
+                (encoder_forward(Tensor(v), params, 1, cfg.heads).data * w).sum()
             ),
             z0,
         )
@@ -208,8 +201,8 @@ class TestEncoder:
 class TestHead:
     def test_zero_head_gives_zero_forecast(self):
         rng = np.random.default_rng(6)
-        dims = toy_dims()
-        params = build_params(dims, rng)
+        cfg = toy_config()
+        params = toy_params(cfg, rng)
         for name in ("head.0", "head.0_b", "head.1", "head.1_b"):
             params[name].data[:] = 0.0
         out = predict(Tensor(rng.standard_normal((2, 4, 8))), params)
@@ -217,18 +210,15 @@ class TestHead:
 
     def test_shape_contract(self):
         rng = np.random.default_rng(7)
-        dims = toy_dims(horizon=2)
-        params = build_params(dims, rng)
+        cfg = toy_config(horizon=2)
+        params = toy_params(cfg, rng)
         out = predict(Tensor(rng.standard_normal((6, 5, 8))), params)
         assert out.shape == (6, 5, 2)
 
     def test_horizon_width_output(self):
         rng = np.random.default_rng(8)
-        dims = ModelDims(
-            t_in=24, horizon=24, embed_dim=4, ffn_dim=8, heads=2,
-            layers=1, n_nodes=3, frequency=12,
-        )
-        params = build_params(dims, rng)
+        cfg = TrainConfig(t_in=24, horizon=24, embed_dim=4, ffn_dim=8, heads=2, layers=1)
+        params = build_params(cfg, 3, 12, rng)
         out = predict(Tensor(rng.standard_normal((1, 3, 16))), params)
         assert out.shape[-1] == 24
 
@@ -239,11 +229,11 @@ class TestFolding:
         [("TFG", 32, (10, 6, 3)), ("SF", 24, (6, 10, 10))],
     )
     def test_folded_shape_sizes_the_parameters(self, folding, width, shape):
-        dims = ModelDims(t_in=6, horizon=3, embed_dim=8, ffn_dim=5, heads=2,
-                         layers=1, n_nodes=10, frequency=12, folding=folding)
-        assert dims.width == width
-        assert dims.folded_shape == shape
-        params = build_params(dims, np.random.default_rng(0))
+        cfg = TrainConfig(t_in=6, horizon=3, embed_dim=8, ffn_dim=5, heads=2,
+                          layers=1, folding=folding)
+        assert cfg.width == width
+        assert cfg.folded_shape(10) == shape
+        params = build_params(cfg, 10, 12, np.random.default_rng(0))
         _, features, outputs = shape
         assert params["embed.wx"].shape == (features, 8)
         assert params["head.1"].shape == (5, outputs)
@@ -252,15 +242,15 @@ class TestFolding:
 
 class TestManifest:
     def test_stable_names_present(self):
-        dims = toy_dims()
-        params = build_params(dims, np.random.default_rng(9))
+        cfg = toy_config()
+        params = toy_params(cfg, np.random.default_rng(9))
         names = list(params.manifest())
         for expected in ("embed.wx", "embed.s", "embed.tod", "embed.dow",
                          "enc.0.qkv", "enc.0.wo", "head.0", "head.1"):
             assert expected in names
 
     def test_param_count_matches_shapes(self):
-        dims = toy_dims()
-        params = build_params(dims, np.random.default_rng(10))
+        cfg = toy_config()
+        params = toy_params(cfg, np.random.default_rng(10))
         total = sum(int(np.prod(s)) if s else 1 for s in params.manifest().values())
         assert params.param_count() == total

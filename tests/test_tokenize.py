@@ -144,8 +144,10 @@ class TestExport:
     def test_csv_layout(self, tmp_path):
         rng = np.random.default_rng(7)
         tables = make_tables(t_in=3, d=4, n=2, freq=6, rng=rng)
+        blobs = {"embed.wx": tables.wx.data, "embed.s": tables.spatial.data,
+                 "embed.tod": tables.tod.data, "embed.dow": tables.dow.data}
         path = tmp_path / "emb.csv"
-        export_embeddings(tables, path)
+        export_embeddings(blobs, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "table,index,dim0,dim1,dim2,dim3"
         assert len(lines) == 1 + 2 + 6 + 7

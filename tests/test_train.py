@@ -256,8 +256,7 @@ class TestAccounting:
         cfg = tiny_config(folding=folding, mask_strategy=strategy, mask_ratio=r,
                           embed_dim=6, heads=2, layers=2)
         n, t, f, heads = 11, cfg.t_in, cfg.ffn_dim, cfg.heads
-        dims = Forecaster.build(cfg, n, 24, np.random.default_rng(0)).dims
-        w = dims.width
+        w = cfg.width
         fuse_tokens, fuse_in, head_out = (n, t, cfg.horizon) if folding == "TFG" else (t, n, n)
 
         def oracle(tokens, groups, s):
@@ -275,11 +274,11 @@ class TestAccounting:
         else:
             s = effective_subgraph_size(n, r, cfg.subgraph_size)
             groups = V.geometry(n, r, s)[2]
-        assert sample_geometry(dims, cfg) == (groups * s, s)
-        assert forward_flops_per_sample(dims, groups * s, s) == oracle(groups * s, groups, s)
+        assert sample_geometry(cfg, n) == (groups * s, s)
+        assert forward_flops_per_sample(cfg, n, groups * s, s) == oracle(groups * s, groups, s)
         expected = (3 * oracle(groups * s, groups, s) * 40
                     + oracle(fuse_tokens, 1, fuse_tokens) * 9) / NOMINAL_FLOPS_PER_SECOND
-        assert estimate_epoch_seconds(dims, cfg, 40, 9) == expected
+        assert estimate_epoch_seconds(cfg, n, 40, 9) == expected
 
     def test_token_count_non_increasing_in_ratio(self):
         counts = [visible_token_count(20, r, 4) for r in (0.0, 0.2, 0.5, 0.8)]
@@ -290,9 +289,7 @@ class TestAccounting:
         series_n = 20
         estimates = []
         for r in (0.0, 0.2, 0.5, 0.8):
-            cfg = tiny_config(mask_ratio=r)
-            forecaster_dims = Forecaster.build(cfg, series_n, 24, np.random.default_rng(0)).dims
-            estimates.append(estimate_epoch_seconds(forecaster_dims, cfg, 100, 30))
+            estimates.append(estimate_epoch_seconds(tiny_config(mask_ratio=r), series_n, 100, 30))
         assert all(b <= a for a, b in zip(estimates, estimates[1:]))
 
     def test_effective_subgraph_clamps(self):
@@ -351,9 +348,9 @@ class TestActivationCount:
         rng = np.random.default_rng(0)
         forecaster = Forecaster.build(cfg, n, 24, rng)
         windows = random_windows(rng, n, cfg, batch)
-        loss, _ = training_forward(forecaster, cfg, *stack_windows(windows), rng)
+        loss, _ = training_forward(forecaster, *stack_windows(windows), rng)
         walked = retained_words(loss, forecaster.params)
-        measured = activation_float_count(forecaster, cfg, windows)
+        measured = activation_float_count(forecaster, windows)
         assert abs(measured - walked) <= 0.1 * walked, (measured, walked)
 
     def test_callers_tracing_keeps_running(self):
@@ -363,7 +360,7 @@ class TestActivationCount:
         tracemalloc.start()
         try:
             kept = np.ones(1000)
-            assert activation_float_count(forecaster, cfg, random_windows(rng, 10, cfg, 4)) > 0
+            assert activation_float_count(forecaster, random_windows(rng, 10, cfg, 4)) > 0
             assert tracemalloc.is_tracing()
             # still the caller's session: what it traced before is still traced
             assert tracemalloc.get_object_traceback(kept) is not None
@@ -387,7 +384,7 @@ class TestActivationCount:
         inputs = rng.normal(size=(batch, n, cfg.t_in))
         targets = rng.normal(size=(batch, n, cfg.horizon))
         loss, _ = training_forward(
-            forecaster, cfg, inputs, targets, np.zeros(batch, int), np.zeros(batch, int), rng
+            forecaster, inputs, targets, np.zeros(batch, int), np.zeros(batch, int), rng
         )
         sf_tokens = inputs.transpose(0, 2, 1)
         copies = [a for a in retained_arrays(loss, forecaster.params)
@@ -485,7 +482,7 @@ class TestGraphRelease:
         inputs = rng.normal(size=(batch, n, cfg.t_in))
         targets = rng.normal(size=(batch, n, cfg.horizon))
         tod, dow = rng.integers(0, 24, batch), rng.integers(0, 7, batch)
-        loss, _ = training_forward(forecaster, cfg, inputs, targets, tod, dow, rng)
+        loss, _ = training_forward(forecaster, inputs, targets, tod, dow, rng)
         monkeypatch.undo()
         assert [len(refs) for refs in buffers.values()] == [2, 3, 4, 1, 1]
         alive = {kind: [i for i, ref in enumerate(refs) if ref() is not None]
@@ -538,10 +535,10 @@ class TestStepPeak:
         tod, dow = rng.integers(0, 24, batch), rng.integers(0, 7, batch)
 
         def forward():
-            return training_forward(forecaster, cfg, inputs, targets, tod, dow, rng)[0]
+            return training_forward(forecaster, inputs, targets, tod, dow, rng)[0]
 
         peak, graph = step_peak(forward, forecaster.params)
-        tokens, _ = sample_geometry(forecaster.dims, cfg)
+        tokens, _ = sample_geometry(cfg, n)
         return (peak - graph) / (tokens * batch * cfg.ffn_dim * 8)
 
     def test_backward_excess_bounded(self):

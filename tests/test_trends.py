@@ -52,8 +52,8 @@ def test_folding_variants_structural_and_resource_contracts():
     assert "embed.s" not in sf.forecaster.params.manifest()
     assert "sf.time" in sf.forecaster.params.manifest()
     # token width 4d vs 3d
-    assert tfg.forecaster.dims.width == 32
-    assert sf.forecaster.dims.width == 24
+    assert tfg.forecaster.config.width == 32
+    assert sf.forecaster.config.width == 24
 
     # SF processes T tokens per sample, TFG N; with T < N the measured
     # epoch cost follows
