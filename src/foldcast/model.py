@@ -29,7 +29,9 @@ class ModelParams:
         self.tensors = {}
 
     def add(self, name, data):
-        t = Tensor(data, requires_grad=True)
+        """Register ``data`` as ``name``, without a copy where ``_owned`` allows."""
+        t = Tensor(0.0, requires_grad=True)
+        t.data = _owned(data)
         self.tensors[name] = t
         return t
 
@@ -70,8 +72,12 @@ class ModelParams:
         return {name: t.data.copy() for name, t in self.tensors.items()}
 
     def load_data(self, blobs):
+        """Point each parameter at ``blobs[name]``. An array that is
+        float64, C-ordered, writable and owns its memory is taken over as
+        it is, so the caller must not use ``blobs`` afterwards; any other
+        is copied."""
         for name, t in self.tensors.items():
-            t.data = np.array(blobs[name], dtype=np.float64)
+            t.data = _owned(blobs[name])
 
     def tables(self):
         """Embedding-table view over the shared parameter tensors."""
@@ -83,6 +89,15 @@ class ModelParams:
             tod=tt["embed.tod"],
             dow=tt["embed.dow"],
         )
+
+
+def _owned(data):
+    """``data`` itself when it is a float64, C-ordered, writable array that
+    owns its memory; else such a copy of it."""
+    if (isinstance(data, np.ndarray) and data.dtype == np.float64 and data.flags.c_contiguous
+            and data.flags.writeable and data.flags.owndata):
+        return data
+    return np.array(data, dtype=np.float64, order="C")
 
 
 def _uniform(rng, fan_in, shape):
@@ -150,8 +165,7 @@ def encoder_forward(z0, params, layers, heads):
         normed = T.layer_norm(z, params[f"enc.{i}.ln1.g"], params[f"enc.{i}.ln1.b"])
         z = T.add(msa(normed, params, i, heads), z)
         normed = T.layer_norm(z, params[f"enc.{i}.ln2.g"], params[f"enc.{i}.ln2.b"])
-        ffn = T.linear(normed, params[f"enc.{i}.ffn1"], params[f"enc.{i}.ffn1_b"])
-        ffn = T.gelu(ffn)
+        ffn = T.linear_gelu(normed, params[f"enc.{i}.ffn1"], params[f"enc.{i}.ffn1_b"])
         ffn = T.linear(ffn, params[f"enc.{i}.ffn2"], params[f"enc.{i}.ffn2_b"])
         z = T.add(ffn, z)
     return z
@@ -159,6 +173,5 @@ def encoder_forward(z0, params, layers, heads):
 
 def predict(z, params):
     """Per-token MLP head with GELU between the two linear maps."""
-    h = T.linear(z, params["head.0"], params["head.0_b"])
-    h = T.gelu(h)
+    h = T.linear_gelu(z, params["head.0"], params["head.0_b"])
     return T.linear(h, params["head.1"], params["head.1_b"])

@@ -14,11 +14,13 @@ as immutable after creation (the optimizer step on parameters is the one
 sanctioned exception), so repeated forward passes over identical inputs
 are bit-identical.
 
-Two fused ops keep the tape short: ``linear`` (x @ w + b as one node) and
-``attention`` (multi-head softmax(QK^T/sqrt(hd))V over a packed qkv tensor,
-with a hand-written backward).
+Three fused ops keep the tape short: ``linear`` (x @ w + b as one node),
+``linear_gelu`` (GELU written over that GEMM's own output, so no
+pre-activation sits beside it) and ``attention`` (multi-head
+softmax(QK^T/sqrt(hd))V over a packed qkv tensor, with a hand-written
+backward).
 
-``attention`` and ``gelu`` work through their input a cache-sized block
+``attention`` and GELU work through their input a cache-sized block
 at a time: attention by groups, GELU by elements. Each group or element
 goes through the operations of one whole-array pass in the same order,
 so blocking changes no bit (a NaN's sign aside). GELU's erf is scipy's
@@ -32,9 +34,17 @@ holds. ``backward()`` drops each interior gradient once its closure has
 run, so a closure may overwrite its incoming ``g`` or pass it (or a view
 of it) on to one parent. Only ``add`` (for its earlier parent, when both
 take ``g`` unreduced), ``concat_lastdim`` (each slice) and ``transpose``
-(its inverse view) copy a gradient before handing it on. After
-``backward()`` only leaf tensors keep ``.grad``, so calling ``backward()``
-again on the same graph adds exactly one more gradient to each leaf.
+(its inverse view) copy a gradient before handing it on.
+
+Release: the walk calls each closure as ``backward(g, release)``. After
+a walk only leaf tensors keep ``.grad``. By default the graph stays
+whole, so calling ``backward()`` again on it adds exactly one more
+gradient to each leaf. ``backward(release=True)`` drops each node's
+closure and parent links as soon as the closure has run, so the graph's
+arrays are freed as the walk goes (``linear`` drops its saved input rows
+before it allocates dx); a second ``backward()`` through a released node
+raises.
+
 ``Tensor(data)`` copies ``data``; an op wraps a raw float64, C-ordered
 array operand without a copy.
 """
@@ -110,11 +120,15 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def backward(self):
+    def backward(self, release=False):
         """Backpropagate from this scalar through the recorded graph.
 
         Each node is visited exactly once, in reverse topological order;
-        gradients accumulate by addition where paths rejoin.
+        gradients accumulate by addition where paths rejoin. With
+        ``release``, each interior node drops its closure and its parent
+        links as soon as the closure has run, so the graph's arrays are
+        freed as the walk goes; a later ``backward()`` that reaches a
+        released node raises ``RuntimeError``.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.data.shape}")
@@ -127,6 +141,8 @@ class Tensor:
             if expanded:
                 order.append(node)
                 continue
+            if node.parents is None:
+                raise RuntimeError("backward() through a graph backward(release=True) released")
             stack.append((node, True))
             for p in node.parents:
                 if id(p) not in visited:
@@ -134,9 +150,13 @@ class Tensor:
                     stack.append((p, False))
         root.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node.backward is not None and node.grad is not None:
-                node.backward(node.grad)
-                node.grad = None  # interior: free it now; leaves keep theirs
+            if node.backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
+                node.backward(node.grad, release)
+                node.grad = None  # interior: free it now
+            if release:
+                node.backward = node.parents = None
 
 
 def _as_tensor(x):
@@ -194,7 +214,7 @@ def add(a, b):
     data = a.data + b.data
     a_shape, b_shape = a.data.shape, b.data.shape
 
-    def backward(g):
+    def backward(g, release):
         # ``g`` itself goes, uncopied, to the last parent that takes it
         # unreduced; an earlier one gets a copy (``add(x, x)`` gives 2g)
         if na is not None:
@@ -215,7 +235,7 @@ def mul(a, b):
     a_data = a.data if nb is not None else None
     b_data = b.data if na is not None else None
 
-    def backward(g):
+    def backward(g, release):
         if na is not None:
             _accumulate(na, _unbroadcast(g * b_data, a_shape))
         if nb is not None:
@@ -240,7 +260,7 @@ def matmul(a, b):
     a_data = a.data if nb is not None else None
     b_data = b.data if na is not None else None
 
-    def backward(g):
+    def backward(g, release):
         if na is not None:
             _accumulate(na, _unbroadcast(g @ b_data.swapaxes(-1, -2), a_shape))
         if nb is not None:
@@ -255,6 +275,21 @@ def linear(x, w, b=None):
     ``w`` is (k, n) and ``b`` is (n,), or None for no bias; leading
     dimensions of ``x`` are flattened into the GEMM's rows.
     """
+    return _affine(x, w, b, activate=False)
+
+
+def linear_gelu(x, w, b):
+    """``gelu(linear(x, w, b))`` as one node, bit for bit.
+
+    GELU is written over the GEMM's own output buffer, so no
+    pre-activation sits beside its output; the node keeps the GELU
+    derivative (only when a gradient is needed) in place of ``gelu``'s.
+    """
+    return _affine(x, w, b, activate=True)
+
+
+def _affine(x, w, b, activate):
+    """``linear``, followed in place by GELU when ``activate``."""
     x, w = _as_tensor(x), _as_tensor(w)
     b = None if b is None else _as_tensor(b)
     if x.ndim < 2 or w.ndim != 2:
@@ -271,17 +306,28 @@ def linear(x, w, b=None):
     if b is not None:
         data += b.data
     data = data.reshape(x_shape[:-1] + (n,))
+    taped = nx is not None or nw is not None or nb is not None
+    deriv = np.empty(data.shape) if activate and taped else None
+    if activate:
+        _gelu_into(data, data, deriv)
     w_data = w.data if nx is not None else None
     x_rows = x2 if nw is not None else None
 
-    def backward(g):
+    def backward(g, release):
+        # dW and db first: a releasing walk then drops the saved input
+        # rows (and the GELU derivative) before dx is allocated
+        nonlocal deriv, x_rows
+        if deriv is not None:
+            g *= deriv
         g2 = g.reshape(-1, n)
-        if nx is not None:
-            _accumulate(nx, (g2 @ w_data.T).reshape(x_shape))
         if nw is not None:
             _accumulate(nw, x_rows.T @ g2)
         if nb is not None:
             _accumulate(nb, g.sum(axis=tuple(range(g.ndim - 1))))
+        if release:
+            deriv = x_rows = None
+        if nx is not None:
+            _accumulate(nx, (g2 @ w_data.T).reshape(x_shape))
 
     return _from_op(data, (nx, nw, nb), backward)
 
@@ -292,7 +338,7 @@ def tsum(t, axis=None, keepdims=False):
     shape = t.data.shape
     data = t.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward(g):
+    def backward(g, release):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accumulate(node, np.broadcast_to(g, shape).copy())
@@ -306,7 +352,7 @@ def reshape(t, shape):
     in_shape = t.data.shape
     data = t.data.reshape(shape)
 
-    def backward(g):
+    def backward(g, release):
         _accumulate(node, g.reshape(in_shape))
 
     return _from_op(data, (node,), backward)
@@ -318,7 +364,7 @@ def transpose(t, axes):
     data = np.transpose(t.data, axes).copy()
     inverse = np.argsort(axes)
 
-    def backward(g):
+    def backward(g, release):
         _accumulate(node, np.array(np.transpose(g, inverse)))
 
     return _from_op(data, (node,), backward)
@@ -339,7 +385,7 @@ def concat_lastdim(parts):
     offsets = np.cumsum([0] + [p.data.shape[-1] for p in parts])
     nodes = [_grad_node(p) for p in parts]
 
-    def backward(g):
+    def backward(g, release):
         for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             if node is not None:
                 _accumulate(node, np.array(g[..., lo:hi]))
@@ -353,7 +399,7 @@ def slice_lastdim(t, start, stop):
     shape = t.data.shape
     data = t.data[..., start:stop].copy()
 
-    def backward(g):
+    def backward(g, release):
         full = np.zeros(shape)
         full[..., start:stop] = g
         _accumulate(node, full)
@@ -376,7 +422,7 @@ def gather_rows(t, index):
     shape = t.data.shape
     data = t.data[index]
 
-    def backward(g):
+    def backward(g, release):
         full = np.zeros(shape)
         np.add.at(full, index, g)
         _accumulate(node, full)
@@ -392,7 +438,7 @@ def softmax_lastdim(x):
     e = np.exp(shifted)
     data = e / e.sum(axis=-1, keepdims=True)
 
-    def backward(g):
+    def backward(g, release):
         inner = (g * data).sum(axis=-1, keepdims=True)
         _accumulate(node, (g - inner) * data)
 
@@ -442,7 +488,7 @@ def attention(qkv, heads):
         np.matmul(pb, v[b], out=ctx[b].transpose(0, 2, 1, 3))
     data = ctx.reshape(groups, s, width)
 
-    def backward(g):
+    def backward(g, release):
         g_ctx = g.reshape(groups, s, heads, head_dim).transpose(0, 2, 1, 3)
         # dq, dk, dv land in qkv's own layout, so the reshape is a view
         dqkv = np.empty((groups, s, 3, heads, head_dim))
@@ -481,7 +527,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     data += beta.data
     gamma_data = gamma.data if nx is not None else None
 
-    def backward(g):
+    def backward(g, release):
         lead = tuple(range(g.ndim - 1))
         if nb is not None:
             _accumulate(nb, g.sum(axis=lead))
@@ -541,29 +587,54 @@ def gelu(x):
     """Exact-erf GELU: x * Phi(x).
 
     When ``x`` needs a gradient the forward also computes the derivative
-    Phi(x) + x * phi(x), the one array the backward keeps; the output is
-    written into the Phi(x) buffer. Both are computed a cache-sized chunk
-    at a time (an input under 2**17 elements in one pass), each element by
-    the same operations in the same order.
+    Phi(x) + x * phi(x), the one array the backward keeps. Both come from
+    ``_gelu_into``, which ``linear_gelu`` shares.
     """
     x = _as_tensor(x)
     node = _grad_node(x)
-    x_data = x.data
-    flat = x_data.reshape(-1)
-    n = flat.size
-    out = np.empty(n)
-    deriv = np.empty(n) if node is not None else None
-    # Chunks of n // 8 keep the scratch under 3/8 of the output. Below 2**14
-    # elements a chunk's ~25 numpy calls cost more than scipy's erf saves, so
-    # a smaller input is one chunk through scipy, with no scratch.
+    out = np.empty(x.data.shape)
+    deriv = np.empty(x.data.shape) if node is not None else None
+    _gelu_into(x.data, out, deriv)
+
+    def backward(g, release):
+        g *= deriv
+        _accumulate(node, g)
+
+    return _from_op(out, (node,), backward)
+
+
+def _gelu_into(x, out, deriv):
+    """Write GELU(x) into ``out`` and, unless ``deriv`` is None, its
+    derivative into ``deriv``; ``out`` and ``deriv`` are C-ordered arrays
+    of ``x``'s shape.
+
+    ``out`` may be ``x`` itself: each chunk's input is then copied to a
+    scratch row before the chunk is overwritten. The output is written
+    into the Phi(x) buffer. Both are computed a cache-sized chunk at a time
+    (an input under 2**17 elements in one pass), each element by the same
+    operations in the same order.
+    """
+    in_place = out is x
+    x, out = x.reshape(-1), out.reshape(-1)
+    if deriv is not None:
+        deriv = deriv.reshape(-1)
+    n = x.size
+    # Chunks of n // 8 keep the scratch under 3/8 (in place, 1/2) of the
+    # output. Below 2**14 elements a chunk's ~25 numpy calls cost more than
+    # scipy's erf saves, so a smaller input is one chunk through scipy
+    # (in place, copied whole first).
     chunk = min(_GELU_CHUNK, n // 8)
     scratch = np.empty((3, chunk)) if chunk >= _GELU_CHUNK // 2 else None
     if scratch is None:
         chunk = max(n, 1)
+    x_row = np.empty(chunk) if in_place else None
     # the rational overflows to inf / inf on the elements scipy redoes
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, chunk):
-            xc, cdf = flat[lo : lo + chunk], out[lo : lo + chunk]
+            xc, cdf = x[lo : lo + chunk], out[lo : lo + chunk]
+            if x_row is not None:
+                x_row[: len(xc)] = xc
+                xc = x_row[: len(xc)]
             np.multiply(xc, _INV_SQRT2, out=cdf)
             if scratch is None:
                 erf(cdf, out=cdf)
@@ -581,15 +652,6 @@ def gelu(x):
                 dc *= xc
                 dc += cdf
             np.multiply(xc, cdf, out=cdf)
-    data = out.reshape(x_data.shape)
-    if deriv is not None:
-        deriv = deriv.reshape(x_data.shape)
-
-    def backward(g):
-        g *= deriv
-        _accumulate(node, g)
-
-    return _from_op(data, (node,), backward)
 
 
 def huber_loss(pred, target, delta, include=None):
@@ -619,7 +681,7 @@ def huber_loss(pred, target, delta, include=None):
     per = np.where(a <= delta, 0.5 * err * err, delta * (a - 0.5 * delta))
     data = np.asarray((per * inc).sum() / count)
 
-    def backward(g):
+    def backward(g, release):
         _accumulate(node, g * inc * np.clip(err, -delta, delta) / count)
 
     return _from_op(data, (node,), backward)

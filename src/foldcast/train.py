@@ -297,12 +297,11 @@ def train(config, series, progress=None):
                     f"non-finite training loss at epoch {epoch}"
                 )
             params.zero_grads()
-            loss.backward()
+            # each closure, and the activations it holds, is freed once it has run
+            loss.backward(release=True)
             T.adam_step(params.tensors, params.grads(), state, lr)
             losses.append(loss.item())
-            # the loss's closures hold every activation of the step; drop
-            # them before the next forward and the epoch's validation
-            del loss
+            del loss  # nothing of the step outlives it
             tokens_processed += tokens
         # wall time covers the training section only; validation cost is
         # independent of the visibility settings being benchmarked

@@ -38,7 +38,7 @@ def retained_arrays(loss, params):
             base = base_array(array)
             if id(base) not in skip:
                 bases[id(base)] = base
-        for p in node.parents:
+        for p in node.parents or ():  # a released node has none
             if id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
@@ -50,18 +50,21 @@ def retained_words(loss, params):
     return sum(b.nbytes for b in retained_arrays(loss, params)) / 8
 
 
-def step_peak(forward, params):
-    """Run ``forward()`` (returning a scalar loss Tensor) and its backward
-    under ``tracemalloc``, which sees numpy's buffers. Returns (peak bytes
-    above the bytes traced on entry, bytes the graph retained before its
-    backward)."""
+def step_peak(forward, params, release=False):
+    """Run ``forward()`` (returning a scalar loss Tensor) and its
+    ``backward(release=release)`` under ``tracemalloc``, which sees numpy's
+    buffers. Returns (the forward's peak, the backward's peak, the bytes
+    the graph retained before its backward); each peak is in bytes above
+    the bytes traced on entry."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         loss = forward()
+        forward_peak = tracemalloc.get_traced_memory()[1] - start
         graph = retained_words(loss, params) * 8
-        loss.backward()
-        peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        loss.backward(release=release)
+        backward_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    return peak, graph
+    return forward_peak, backward_peak, graph

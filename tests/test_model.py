@@ -254,3 +254,29 @@ class TestManifest:
         params = toy_params(cfg, np.random.default_rng(10))
         total = sum(int(np.prod(s)) if s else 1 for s in params.manifest().values())
         assert params.param_count() == total
+
+    def test_owned_arrays_are_taken_over_and_others_copied(self):
+        from foldcast.model import ModelParams
+
+        owned = np.ones((3, 4))
+        params = ModelParams()
+        params.add("owned", owned)
+        readonly = np.ones(4)
+        readonly.flags.writeable = False
+        others = {"view": owned[:2], "fortran": np.asfortranarray(np.ones((3, 4))),
+                  "int": np.ones(4, dtype=np.int64), "readonly": readonly, "list": [1.0, 2.0]}
+        for name, data in others.items():
+            params.add(name, data)
+        assert params["owned"].data is owned
+        for name, data in others.items():
+            t = params[name].data
+            assert t.dtype == np.float64 and t.flags.c_contiguous and t.flags.owndata, name
+            assert not np.shares_memory(t, np.asarray(data)), name
+            assert np.array_equal(t, data), name
+        blobs = {name: t.data.copy() for name, t in params.items()}
+        blobs["view"] = np.ones((4, 4))[:2]
+        params.load_data(blobs)
+        assert params["owned"].data is blobs["owned"]
+        assert not np.shares_memory(params["view"].data, blobs["view"])
+        # a Tensor of its own still copies
+        assert not np.shares_memory(Tensor(owned).data, owned)

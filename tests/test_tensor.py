@@ -266,6 +266,88 @@ class TestGelu:
             assert arrays * x.nbytes <= peak < (arrays + 0.5) * x.nbytes
 
 
+def closure_cell(node, name):
+    """The array named ``name`` in tape node ``node``'s backward closure."""
+    fn = node.backward
+    return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))[name]
+
+
+def gelu_oracle(x, w, b):
+    return T.gelu(T.linear(x, w, b))
+
+
+class TestLinearGelu:
+    # (rows, n): 150 x 64 outputs take one scipy pass, 1204 x 131 (over
+    # 2**17) nine chunks, the last of 4 elements
+    SHAPES = {"one_pass": ((3, 50, 16), (16, 64)), "chunked": ((4, 301, 16), (16, 131))}
+
+    @staticmethod
+    def run(op, values, grads, proj):
+        tensors = [Tensor(v, requires_grad=r) for v, r in zip(values, grads)]
+        out = op(*tensors)
+        deriv = closure_cell(out._node, "deriv").copy() if out.requires_grad else None
+        if out.requires_grad:
+            proj_loss(out, proj).backward()
+        return out.data, deriv, [t.grad for t in tensors]
+
+    @pytest.mark.parametrize("size", SHAPES)
+    @pytest.mark.parametrize("grads", [(True, True, True), (False, True, True),
+                                       (True, False, False), (False, False, False)],
+                             ids=["all", "constant_x", "only_x", "none"])
+    def test_matches_gelu_of_linear_bit_for_bit(self, size, grads):
+        x_shape, w_shape = self.SHAPES[size]
+        rng = np.random.default_rng(31)
+        values = [rng.standard_normal(x_shape), rng.standard_normal(w_shape),
+                  rng.standard_normal(w_shape[1])]
+        proj = rng.standard_normal(x_shape[:-1] + w_shape[1:])
+        out, deriv, got = self.run(T.linear_gelu, values, grads, proj)
+        want_out, want_deriv, want = self.run(gelu_oracle, values, grads, proj)
+        assert out.tobytes() == want_out.tobytes()
+        if any(grads):
+            assert deriv.shape == out.shape and deriv.tobytes() == want_deriv.tobytes()
+        else:
+            assert deriv is None and want_deriv is None
+        for g, wg, needed in zip(got, want, grads):
+            assert (g is not None) == needed and (wg is not None) == needed
+            if needed:
+                assert g.tobytes() == wg.tobytes()
+
+    def test_grads_match_fd(self):
+        from scipy.special import erf
+
+        rng = np.random.default_rng(32)
+        values = [rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5)),
+                  rng.standard_normal(5)]
+        proj = rng.standard_normal((2, 3, 5))
+        _, _, grads = self.run(T.linear_gelu, values, (True, True, True), proj)
+        for i, g in enumerate(grads):
+
+            def f(v, i=i):
+                args = list(values)
+                args[i] = v
+                h = args[0] @ args[1] + args[2]
+                return float((h * 0.5 * (1 + erf(h / np.sqrt(2))) * proj).sum())
+
+            assert max_rel_err(g, central_diff(f, values[i])) < 1e-5, i
+
+    def test_no_pre_activation_beside_the_output(self):
+        # the GEMM's output, the derivative when a gradient is needed, and
+        # chunk scratch (1.35 and 2.35 outputs here); GELU of a separate
+        # GEMM output reads 2.30 without a gradient
+        rng = np.random.default_rng(33)
+        x, w = rng.standard_normal((600, 64)), rng.standard_normal((64, 1024))
+        out_bytes = 600 * 1024 * 8
+        for requires_grad, arrays in ((False, 1), (True, 2)):
+            wt = Tensor(w, requires_grad=requires_grad)
+            tracemalloc.start()
+            try:
+                T.linear_gelu(x, wt, np.zeros(1024))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert arrays * out_bytes <= peak < (arrays + 0.5) * out_bytes, requires_grad
+
+
 class TestConcat:
     def test_four_parts_of_64(self):
         parts = [Tensor(np.zeros((5, 64))) for _ in range(4)]
@@ -582,6 +664,18 @@ class TestBackwardSemantics:
         assert np.array_equal(x.grad, [3.0, 3.0])
         loss.backward()
         assert np.array_equal(x.grad, [6.0, 6.0])
+
+    def test_released_graph_refuses_a_second_walk(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        mid = T.add(x, 1.0)
+        loss = T.tsum(T.mul(3.0, mid))
+        other = T.tsum(mid)  # shares ``mid``'s node with ``loss``
+        loss.backward(release=True)
+        assert np.array_equal(x.grad, [3.0, 3.0])
+        for root in (loss, other):
+            with pytest.raises(RuntimeError, match="released"):
+                root.backward()
+        assert np.array_equal(x.grad, [3.0, 3.0])
 
     def test_only_leaves_keep_grad(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
