@@ -17,7 +17,7 @@ import numpy as np
 
 from . import config as C
 from .checkpoint import load_into, read_checkpoint, save_checkpoint
-from .data import apply_zscore, fit_normalizer, load_series, make_windows, save_series
+from .data import load_series, save_series
 from .errors import CheckpointError, ConfigError, DataError, DivergenceError
 from .fileio import atomic_open
 from .metrics import MAPE_FLOOR, MetricAccumulator
@@ -30,6 +30,7 @@ from .train import (
     bench,
     evaluate,
     format_rows,
+    normalized_windows,
     sample_geometry,
     train,
 )
@@ -184,10 +185,7 @@ def cmd_eval(args):
         run.train, series.node_count, series.frequency, np.random.default_rng(0)
     )
     load_into(forecaster.params, args.checkpoint)
-    stats = fit_normalizer(series, run.train.split[0])
-    windows = make_windows(
-        apply_zscore(series, stats), run.train.t_in, run.train.horizon, run.train.split
-    )
+    stats, windows = normalized_windows(run.train, series)
     chosen = windows[{"train": 0, "val": 1, "test": 2}[args.split]]
     if not chosen:
         raise DataError(f"no windows in split {args.split!r}")
@@ -301,9 +299,12 @@ def cmd_dump_embeddings(args):
     _resolve(args, require_dataset=False)  # checks --set and --seed; the tables need no config
     _make_out_dir(args.out)
     _, blobs = read_checkpoint(args.checkpoint)
-    tables = [blobs.get(name) for name in ("embed.wx", "embed.tod", "embed.dow")]
-    if any(t is None or t.ndim != 2 for t in tables):
-        raise CheckpointError(f"{args.checkpoint}: needs 2-D embed.wx, embed.tod and embed.dow")
+    for name in ("embed.wx", "embed.s", "embed.tod", "embed.dow"):  # embed.wx is checked first
+        table = blobs.get(name)
+        if table is None and name == "embed.s":
+            continue  # spatial folding has no spatial table
+        if table is None or table.ndim != 2 or table.shape[1] != blobs["embed.wx"].shape[1]:
+            raise CheckpointError(f"{args.checkpoint}: {name} must be 2-D and as wide as embed.wx")
     out_path = os.path.join(args.out, "embeddings.csv")
     export_embeddings(blobs, out_path)
     print(f"wrote {out_path}")

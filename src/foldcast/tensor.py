@@ -30,20 +30,16 @@ bit for bit: on a large input, cephes' rational in numpy where
 Gradient ownership: a node's ``.grad`` array belongs to that node alone.
 A node takes over its first gradient without a copy and adds later ones
 into it in place, so an op hands each parent an array no other node
-holds. ``backward()`` drops each interior gradient once its closure has
-run, so a closure may overwrite its incoming ``g`` or pass it (or a view
-of it) on to one parent. Only ``add`` (for its earlier parent, when both
-take ``g`` unreduced), ``concat_lastdim`` (each slice) and ``transpose``
-(its inverse view) copy a gradient before handing it on.
+holds. An interior gradient is dropped once its closure has run, so a
+closure may overwrite its incoming ``g`` or pass it (or a view of it) on
+to one parent. Only ``add`` (for its earlier parent, when both take
+``g`` unreduced), ``concat_lastdim`` (each slice) and ``transpose`` (its
+inverse view) copy a gradient before handing it on.
 
-Release: the walk calls each closure as ``backward(g, release)``. After
-a walk only leaf tensors keep ``.grad``. By default the graph stays
-whole, so calling ``backward()`` again on it adds exactly one more
-gradient to each leaf. ``backward(release=True)`` drops each node's
-closure and parent links as soon as the closure has run, so the graph's
-arrays are freed as the walk goes (``linear`` drops its saved input rows
-before it allocates dx); a second ``backward()`` through a released node
-raises.
+Release: ``backward()`` drops each interior node's gradient, closure and
+parent links as soon as the closure has run, so the graph's arrays are
+freed as the walk goes (``linear`` drops its saved input rows before it
+allocates dx) and a second ``backward()`` through a released node raises.
 
 ``Tensor(data)`` copies ``data``; an op wraps a raw float64, C-ordered
 array operand without a copy.
@@ -120,16 +116,11 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def backward(self, release=False):
-        """Backpropagate from this scalar through the recorded graph.
-
-        Each node is visited exactly once, in reverse topological order;
-        gradients accumulate by addition where paths rejoin. With
-        ``release``, each interior node drops its closure and its parent
-        links as soon as the closure has run, so the graph's arrays are
-        freed as the walk goes; a later ``backward()`` that reaches a
-        released node raises ``RuntimeError``.
-        """
+    def backward(self):
+        """Backpropagate from this scalar, visiting each node once in reverse
+        topological order; gradients add where paths rejoin. The walk
+        releases each node once its closure has run (see "Release" above),
+        so a later ``backward()`` that reaches one raises ``RuntimeError``."""
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.data.shape}")
         root = self._leaf_node()
@@ -142,7 +133,7 @@ class Tensor:
                 order.append(node)
                 continue
             if node.parents is None:
-                raise RuntimeError("backward() through a graph backward(release=True) released")
+                raise RuntimeError("backward() reached a node an earlier backward() released")
             stack.append((node, True))
             for p in node.parents:
                 if id(p) not in visited:
@@ -153,10 +144,9 @@ class Tensor:
             if node.backward is None:
                 continue  # a leaf keeps its gradient
             if node.grad is not None:
-                node.backward(node.grad, release)
+                node.backward(node.grad)
                 node.grad = None  # interior: free it now
-            if release:
-                node.backward = node.parents = None
+            node.backward = node.parents = None
 
 
 def _as_tensor(x):
@@ -214,7 +204,7 @@ def add(a, b):
     data = a.data + b.data
     a_shape, b_shape = a.data.shape, b.data.shape
 
-    def backward(g, release):
+    def backward(g):
         # ``g`` itself goes, uncopied, to the last parent that takes it
         # unreduced; an earlier one gets a copy (``add(x, x)`` gives 2g)
         if na is not None:
@@ -235,7 +225,7 @@ def mul(a, b):
     a_data = a.data if nb is not None else None
     b_data = b.data if na is not None else None
 
-    def backward(g, release):
+    def backward(g):
         if na is not None:
             _accumulate(na, _unbroadcast(g * b_data, a_shape))
         if nb is not None:
@@ -260,7 +250,7 @@ def matmul(a, b):
     a_data = a.data if nb is not None else None
     b_data = b.data if na is not None else None
 
-    def backward(g, release):
+    def backward(g):
         if na is not None:
             _accumulate(na, _unbroadcast(g @ b_data.swapaxes(-1, -2), a_shape))
         if nb is not None:
@@ -313,9 +303,9 @@ def _affine(x, w, b, activate):
     w_data = w.data if nx is not None else None
     x_rows = x2 if nw is not None else None
 
-    def backward(g, release):
-        # dW and db first: a releasing walk then drops the saved input
-        # rows (and the GELU derivative) before dx is allocated
+    def backward(g):
+        # dW and db first, then the saved input rows and the GELU
+        # derivative go before dx is allocated
         nonlocal deriv, x_rows
         if deriv is not None:
             g *= deriv
@@ -324,8 +314,7 @@ def _affine(x, w, b, activate):
             _accumulate(nw, x_rows.T @ g2)
         if nb is not None:
             _accumulate(nb, g.sum(axis=tuple(range(g.ndim - 1))))
-        if release:
-            deriv = x_rows = None
+        deriv = x_rows = None
         if nx is not None:
             _accumulate(nx, (g2 @ w_data.T).reshape(x_shape))
 
@@ -338,7 +327,7 @@ def tsum(t, axis=None, keepdims=False):
     shape = t.data.shape
     data = t.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward(g, release):
+    def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accumulate(node, np.broadcast_to(g, shape).copy())
@@ -352,7 +341,7 @@ def reshape(t, shape):
     in_shape = t.data.shape
     data = t.data.reshape(shape)
 
-    def backward(g, release):
+    def backward(g):
         _accumulate(node, g.reshape(in_shape))
 
     return _from_op(data, (node,), backward)
@@ -364,7 +353,7 @@ def transpose(t, axes):
     data = np.transpose(t.data, axes).copy()
     inverse = np.argsort(axes)
 
-    def backward(g, release):
+    def backward(g):
         _accumulate(node, np.array(np.transpose(g, inverse)))
 
     return _from_op(data, (node,), backward)
@@ -385,7 +374,7 @@ def concat_lastdim(parts):
     offsets = np.cumsum([0] + [p.data.shape[-1] for p in parts])
     nodes = [_grad_node(p) for p in parts]
 
-    def backward(g, release):
+    def backward(g):
         for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             if node is not None:
                 _accumulate(node, np.array(g[..., lo:hi]))
@@ -399,7 +388,7 @@ def slice_lastdim(t, start, stop):
     shape = t.data.shape
     data = t.data[..., start:stop].copy()
 
-    def backward(g, release):
+    def backward(g):
         full = np.zeros(shape)
         full[..., start:stop] = g
         _accumulate(node, full)
@@ -422,7 +411,7 @@ def gather_rows(t, index):
     shape = t.data.shape
     data = t.data[index]
 
-    def backward(g, release):
+    def backward(g):
         full = np.zeros(shape)
         np.add.at(full, index, g)
         _accumulate(node, full)
@@ -438,7 +427,7 @@ def softmax_lastdim(x):
     e = np.exp(shifted)
     data = e / e.sum(axis=-1, keepdims=True)
 
-    def backward(g, release):
+    def backward(g):
         inner = (g * data).sum(axis=-1, keepdims=True)
         _accumulate(node, (g - inner) * data)
 
@@ -488,7 +477,7 @@ def attention(qkv, heads):
         np.matmul(pb, v[b], out=ctx[b].transpose(0, 2, 1, 3))
     data = ctx.reshape(groups, s, width)
 
-    def backward(g, release):
+    def backward(g):
         g_ctx = g.reshape(groups, s, heads, head_dim).transpose(0, 2, 1, 3)
         # dq, dk, dv land in qkv's own layout, so the reshape is a view
         dqkv = np.empty((groups, s, 3, heads, head_dim))
@@ -527,7 +516,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     data += beta.data
     gamma_data = gamma.data if nx is not None else None
 
-    def backward(g, release):
+    def backward(g):
         lead = tuple(range(g.ndim - 1))
         if nb is not None:
             _accumulate(nb, g.sum(axis=lead))
@@ -596,7 +585,7 @@ def gelu(x):
     deriv = np.empty(x.data.shape) if node is not None else None
     _gelu_into(x.data, out, deriv)
 
-    def backward(g, release):
+    def backward(g):
         g *= deriv
         _accumulate(node, g)
 
@@ -681,7 +670,7 @@ def huber_loss(pred, target, delta, include=None):
     per = np.where(a <= delta, 0.5 * err * err, delta * (a - 0.5 * delta))
     data = np.asarray((per * inc).sum() / count)
 
-    def backward(g, release):
+    def backward(g):
         _accumulate(node, g * inc * np.clip(err, -delta, delta) / count)
 
     return _from_op(data, (node,), backward)

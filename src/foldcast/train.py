@@ -191,6 +191,7 @@ def training_forward(forecaster, inputs, targets, tod, dow, plan_rng):
             z0 = V.perturb_masked_batch(
                 fused, plans, config.mask_strategy, config.embed_dim, plan_rng
             )
+        del fused  # nothing reads the full-graph tokens past visibility
         preds = forecaster.encode_and_predict(z0)
     loss = T.huber_loss(preds, targets, config.huber_delta, include)
     return loss, b * tokens
@@ -244,6 +245,13 @@ class TrainResult:
         return self.windows[2] or self.windows[1] or self.windows[0]
 
 
+def normalized_windows(config, series):
+    """(stats, windows): ``series`` z-scored by its train slice, then windowed."""
+    stats = fit_normalizer(series, config.split[0])
+    windows = make_windows(apply_zscore(series, stats), config.t_in, config.horizon, config.split)
+    return stats, windows
+
+
 def _rng_streams(seed):
     ss = np.random.SeedSequence(seed)
     init_ss, shuffle_ss, plan_ss = ss.spawn(3)
@@ -265,9 +273,7 @@ def train(config, series, progress=None):
     best-validation parameters are restored.
     """
     config.validate()
-    stats = fit_normalizer(series, config.split[0])
-    normed = apply_zscore(series, stats)
-    windows = make_windows(normed, config.t_in, config.horizon, config.split)
+    stats, windows = normalized_windows(config, series)
     train_w = windows[0]
     if not train_w:
         raise DataError("no training windows; series too short for the split")
@@ -298,7 +304,7 @@ def train(config, series, progress=None):
                 )
             params.zero_grads()
             # each closure, and the activations it holds, is freed once it has run
-            loss.backward(release=True)
+            loss.backward()
             T.adam_step(params.tensors, params.grads(), state, lr)
             losses.append(loss.item())
             del loss  # nothing of the step outlives it

@@ -50,12 +50,12 @@ def retained_words(loss, params):
     return sum(b.nbytes for b in retained_arrays(loss, params)) / 8
 
 
-def step_peak(forward, params, release=False):
+def step_peak(forward, params):
     """Run ``forward()`` (returning a scalar loss Tensor) and its
-    ``backward(release=release)`` under ``tracemalloc``, which sees numpy's
-    buffers. Returns (the forward's peak, the backward's peak, the bytes
-    the graph retained before its backward); each peak is in bytes above
-    the bytes traced on entry."""
+    ``backward()`` under ``tracemalloc``, which sees numpy's buffers.
+    Returns (the forward's peak, the backward's peak, the bytes the graph
+    retained before its backward); each peak is in bytes above the bytes
+    traced on entry."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -63,7 +63,7 @@ def step_peak(forward, params, release=False):
         forward_peak = tracemalloc.get_traced_memory()[1] - start
         graph = retained_words(loss, params) * 8
         tracemalloc.reset_peak()
-        loss.backward(release=release)
+        loss.backward()
         backward_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

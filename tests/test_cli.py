@@ -453,6 +453,25 @@ class TestDumpEmbeddings:
         assert code == 3
         assert "embed.dow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, table",
+        [("embed.s", np.ones(6)), ("embed.tod", np.ones((12, 3)))],
+        ids=["spatial_1d", "tod_wider_than_wx"],
+    )
+    def test_malformed_table_exits_3_and_writes_nothing(self, tmp_path, capsys, name, table):
+        tables = {"embed.wx": np.ones((3, 2)), "embed.s": np.ones((6, 2)),
+                  "embed.tod": np.ones((12, 2)), "embed.dow": np.ones((7, 2)), name: table}
+        params = ModelParams()
+        for key, value in tables.items():
+            params.add(key, value)
+        ck = tmp_path / "malformed.bin"
+        save_checkpoint(params, ck)
+        out = tmp_path / "x"
+        code = main(["dump-embeddings", "--checkpoint", str(ck), "--out", str(out)])
+        assert code == 3
+        assert name in capsys.readouterr().err
+        assert not (out / "embeddings.csv").exists()
+
 
 class TestBadFlags:
     @pytest.mark.parametrize(

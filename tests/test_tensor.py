@@ -228,9 +228,9 @@ class TestGelu:
         oracle = lambda v: float((v * 0.5 * (1 + erf(v / np.sqrt(2))) * w).sum())
         assert max_rel_err(g, central_diff(oracle, x)) < 1e-5
 
-    def test_shared_output_twice_through_backward(self):
+    def test_shared_output_sums_both_consumers(self):
         # the output's gradient sums two consumers, then the backward
-        # scales it in place; the derivative must survive for a second pass
+        # scales that sum in place by the derivative
         from scipy.special import erf
 
         rng = np.random.default_rng(19)
@@ -238,10 +238,8 @@ class TestGelu:
         w1, w2 = rng.standard_normal((2, 3, 4))
         xt = Tensor(x, requires_grad=True)
         h = T.gelu(xt)
-        loss = T.add(proj_loss(h, w1), proj_loss(h, w2))
-        loss.backward()
-        loss.backward()
-        oracle = lambda v: 2 * float((v * 0.5 * (1 + erf(v / np.sqrt(2))) * (w1 + w2)).sum())
+        T.add(proj_loss(h, w1), proj_loss(h, w2)).backward()
+        oracle = lambda v: float((v * 0.5 * (1 + erf(v / np.sqrt(2))) * (w1 + w2)).sum())
         assert max_rel_err(xt.grad, central_diff(oracle, x)) < 1e-5
 
     def test_closure_keeps_only_the_derivative(self):
@@ -610,16 +608,14 @@ class TestOwnedGradients:
         assert max_rel_err(bt.grad, central_diff(lambda v: f(a0, v), b0)) < 1e-7
 
     @pytest.mark.parametrize("const", [0, 1])
-    def test_add_constant_operand_twice_through_backward(self, const):
-        # ``g`` goes to the one parent uncopied; a second pass adds to it
+    def test_add_constant_operand_matches_fd_and_stays_unchanged(self, const):
+        # ``g`` goes to the one parent uncopied; the constant is never written
         rng = np.random.default_rng(21)
         x, c, w = rng.standard_normal((3, 3, 4))
         c_before = c.copy()
         xt = Tensor(x, requires_grad=True)
-        loss = proj_loss(T.add(*((xt, c) if const else (c, xt))), w)
-        loss.backward()
-        loss.backward()
-        fd = central_diff(lambda v: 2 * float(((v + c) * w).sum()), x)
+        proj_loss(T.add(*((xt, c) if const else (c, xt))), w).backward()
+        fd = central_diff(lambda v: float(((v + c) * w).sum()), x)
         assert max_rel_err(xt.grad, fd) < 1e-8
         assert np.array_equal(c, c_before)
 
@@ -657,20 +653,21 @@ class TestOwnedGradients:
 
 
 class TestBackwardSemantics:
-    def test_second_backward_adds_one_more_gradient(self):
+    def test_second_backward_raises_and_keeps_the_first_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         loss = T.tsum(T.mul(3.0, T.add(x, 1.0)))
         loss.backward()
         assert np.array_equal(x.grad, [3.0, 3.0])
-        loss.backward()
-        assert np.array_equal(x.grad, [6.0, 6.0])
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        assert np.array_equal(x.grad, [3.0, 3.0])
 
     def test_released_graph_refuses_a_second_walk(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         mid = T.add(x, 1.0)
         loss = T.tsum(T.mul(3.0, mid))
         other = T.tsum(mid)  # shares ``mid``'s node with ``loss``
-        loss.backward(release=True)
+        loss.backward()
         assert np.array_equal(x.grad, [3.0, 3.0])
         for root in (loss, other):
             with pytest.raises(RuntimeError, match="released"):
