@@ -42,7 +42,7 @@ def main():
                                   np.random.default_rng(0))
     tod = np.array([w.tod_index for w in batch])
     dow = np.array([w.dow_index for w in batch])
-    fused = fuse_embeddings_batch(tokens, forecaster.params.tables(), tod, dow)
+    fused = fuse_embeddings_batch(tokens, forecaster.params.tensors, tod, dow)
     d = cfg.embed_dim
     print(f"fused tokens: {fused.shape} (= attribute | spatial | tod | dow slices of {d})")
     same_tod = np.all(fused.data[:, :, 2 * d : 3 * d] == fused.data[:, :1, 2 * d : 3 * d])

@@ -299,14 +299,11 @@ def cmd_dump_embeddings(args):
     _resolve(args, require_dataset=False)  # checks --set and --seed; the tables need no config
     _make_out_dir(args.out)
     _, blobs = read_checkpoint(args.checkpoint)
-    for name in ("embed.wx", "embed.s", "embed.tod", "embed.dow"):  # embed.wx is checked first
-        table = blobs.get(name)
-        if table is None and name == "embed.s":
-            continue  # spatial folding has no spatial table
-        if table is None or table.ndim != 2 or table.shape[1] != blobs["embed.wx"].shape[1]:
-            raise CheckpointError(f"{args.checkpoint}: {name} must be 2-D and as wide as embed.wx")
     out_path = os.path.join(args.out, "embeddings.csv")
-    export_embeddings(blobs, out_path)
+    try:
+        export_embeddings(blobs, out_path)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{args.checkpoint}: {exc}") from exc
     print(f"wrote {out_path}")
     return 0
 

@@ -324,31 +324,24 @@ def ha_fit(train_windows, t_in, frequency):
     """Accumulate phase means from the rows the training windows cover.
 
     Overlapping windows see the same row values, so each distinct row is
-    counted once, with the values and the phase of the first window that
-    covers it.
+    counted once, in row order, whatever the order of ``train_windows``.
     """
     if not train_windows:
         raise DataError("HA baseline needs a non-empty training set")
     n, horizon = train_windows[0].target.shape
-    offsets = np.arange(1 - t_in, horizon + 1)  # covered rows, relative to the anchor
-    anchor, tod0, dow0 = np.array(
-        [(w.anchor_t, w.tod_index, w.dow_index) for w in train_windows]
-    ).T
-    covered = (anchor[:, None] + offsets).ravel()
-    _, first = np.unique(covered, return_index=True)
-    first.sort()  # each distinct row once, in the order the windows first cover it
-    rows = covered[first]
-    win, col = np.divmod(first, offsets.size)
-    tod, dow = advance_phase(tod0[win], dow0[win], offsets[col], frequency)
-    # a (row x N) table over the covered row range, written last window
-    # first so that each row holds the values of the first window covering it
-    lo = rows.min()
-    table = np.empty((rows.max() - lo + 1, n))
-    for w in reversed(train_windows):
-        k = w.anchor_t - t_in + 1 - lo
+    starts = np.array([w.anchor_t for w in train_windows]) - (t_in - 1)  # first covered rows
+    lo = starts.min()
+    # a (row x N) table over the covered row range and which rows a window covers
+    table = np.empty((starts.max() - lo + t_in + horizon, n))
+    covered = np.zeros(len(table), dtype=bool)
+    for w, k in zip(train_windows, (starts - lo).tolist()):
         table[k : k + t_in] = w.input.T
         table[k + t_in : k + t_in + horizon] = w.target.T
-    values = table[rows - lo]
+        covered[k : k + t_in + horizon] = True
+    rows = np.flatnonzero(covered)
+    values = table[rows]
+    ref = train_windows[0]  # every row's phase, stepped from one window's anchor
+    tod, dow = advance_phase(ref.tod_index, ref.dow_index, rows + lo - ref.anchor_t, frequency)
     sums = np.zeros((frequency, 7, n))
     counts = np.zeros((frequency, 7, 1))
     np.add.at(sums, (tod, dow), values)

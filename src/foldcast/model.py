@@ -14,7 +14,6 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .tokenize import EmbeddingTables
 
 TFG = "TFG"
 SF = "SF"
@@ -78,17 +77,6 @@ class ModelParams:
         is copied."""
         for name, t in self.tensors.items():
             t.data = _owned(blobs[name])
-
-    def tables(self):
-        """Embedding-table view over the shared parameter tensors."""
-        tt = self.tensors
-        return EmbeddingTables(
-            wx=tt["embed.wx"],
-            wx_b=tt["embed.wx_b"],
-            spatial=tt.get("embed.s"),
-            tod=tt["embed.tod"],
-            dow=tt["embed.dow"],
-        )
 
 
 def _owned(data):

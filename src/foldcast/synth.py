@@ -12,15 +12,15 @@ import numpy as np
 
 from .data import TrafficSeries, advance_phase, start_phase
 
-# Monday 2021-01-04 00:00 UTC; keeps day-of-week phases aligned to Monday=0
-DEFAULT_START = 1609718400
+# timestamp of row 0: Monday 2021-01-04 00:00 UTC, so row 0 has dow 0
+START = 1609718400
 
 DOW_FACTOR = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.8, 0.75])
 
 PULSE_RATE = 0.04
 
 
-def generate_series(n_nodes, days, frequency, noise, seed, start=DEFAULT_START):
+def generate_series(n_nodes, days, frequency, noise, seed):
     if n_nodes < 1 or days < 1 or frequency < 1:
         raise ValueError("n_nodes, days, frequency must all be >= 1")
     if not 0 <= noise < np.inf:  # written so that NaN fails too
@@ -31,7 +31,7 @@ def generate_series(n_nodes, days, frequency, noise, seed, start=DEFAULT_START):
     amp = rng.uniform(20.0, 50.0, size=n_nodes)
     phase = rng.uniform(0.0, 1.0, size=n_nodes)
 
-    tod, dow = advance_phase(*start_phase(start, frequency), np.arange(steps), frequency)
+    tod, dow = advance_phase(*start_phase(START, frequency), np.arange(steps), frequency)
     frac = tod / frequency
     values = base[None, :] + (
         amp[None, :]
@@ -42,4 +42,4 @@ def generate_series(n_nodes, days, frequency, noise, seed, start=DEFAULT_START):
         values = values + rng.normal(0.0, noise, size=values.shape)
         pulses = rng.random(values.shape) < PULSE_RATE
         values = values + pulses * rng.uniform(30.0, 60.0, size=values.shape)
-    return TrafficSeries(values, frequency=frequency, start=start)
+    return TrafficSeries(values, frequency=frequency, start=START)

@@ -28,13 +28,13 @@ bit for bit: on a large input, cephes' rational in numpy where
 |x / sqrt(2)| <= 1 and scipy itself elsewhere.
 
 Gradient ownership: a node's ``.grad`` array belongs to that node alone.
-A node takes over its first gradient without a copy and adds later ones
-into it in place, so an op hands each parent an array no other node
-holds. An interior gradient is dropped once its closure has run, so a
-closure may overwrite its incoming ``g`` or pass it (or a view of it) on
-to one parent. Only ``add`` (for its earlier parent, when both take
-``g`` unreduced), ``concat_lastdim`` (each slice) and ``transpose`` (its
-inverse view) copy a gradient before handing it on.
+A node takes over its first gradient and adds later ones into it in
+place. An interior gradient is dropped once its closure has run, so a
+closure may overwrite its incoming ``g`` or hand it, or views of
+disjoint parts of it (``concat_lastdim``, ``transpose``), on to its
+parents. Only ``add`` copies: for its earlier parent, when both take
+``g`` unreduced. A leaf keeps its gradient, so ``_accumulate`` copies a
+leaf's first gradient when it is a view of another array.
 
 Release: ``backward()`` drops each interior node's gradient, closure and
 parent links as soon as the closure has run, so the graph's arrays are
@@ -178,11 +178,13 @@ def _from_op(data, nodes, backward):
 
 def _accumulate(node, g):
     """Add ``g`` into ``node.grad``; a first gradient is taken over as the
-    node's own (see "Gradient ownership" above)."""
+    node's own, except that a leaf copies a view (see "Gradient ownership"
+    above)."""
     if not node.requires_grad:
         return
     if node.grad is None:
-        node.grad = np.asarray(g)
+        g = np.asarray(g)
+        node.grad = g.copy() if node.backward is None and g.base is not None else g
     else:
         node.grad += g
 
@@ -354,7 +356,7 @@ def transpose(t, axes):
     inverse = np.argsort(axes)
 
     def backward(g):
-        _accumulate(node, np.array(np.transpose(g, inverse)))
+        _accumulate(node, np.transpose(g, inverse))
 
     return _from_op(data, (node,), backward)
 
@@ -377,7 +379,7 @@ def concat_lastdim(parts):
     def backward(g):
         for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             if node is not None:
-                _accumulate(node, np.array(g[..., lo:hi]))
+                _accumulate(node, g[..., lo:hi])
 
     return _from_op(data, nodes, backward)
 
@@ -496,7 +498,10 @@ def attention(qkv, heads):
     return _from_op(data, (node,), backward)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
+_LN_EPS = 1e-5  # added to the variance
+
+
+def layer_norm(x, gamma, beta):
     """Normalize each last-dim slice to zero mean / unit population variance,
     then scale and shift. ``gamma``/``beta`` are 1-D of the last-dim length."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
@@ -510,7 +515,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     mu = x.data.mean(axis=-1, keepdims=True)
     xhat = x.data - mu
     var = (xhat**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
     data = xhat * gamma.data
     data += beta.data
@@ -685,7 +690,11 @@ class AdamState:
         self.step = 0
 
 
-def adam_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8):
+_ADAM_BETAS = (0.9, 0.999)  # moment decay rates
+_ADAM_EPS = 1e-8  # added to the second moment's root
+
+
+def adam_step(params, grads, state, lr):
     """One bias-corrected Adam update, in place on ``params``.
 
     ``params`` maps name -> Tensor, ``grads`` maps name -> ndarray (missing
@@ -693,7 +702,7 @@ def adam_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8):
     place tensors change after creation; callers must not run it
     concurrently with a forward pass over the same parameters.
     """
-    beta1, beta2 = betas
+    beta1, beta2 = _ADAM_BETAS
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t
@@ -720,7 +729,7 @@ def adam_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8):
         # update = lr * (m / bc1) / (sqrt(v / bc2) + eps), one temporary
         denom = np.sqrt(v)
         denom *= 1.0 / np.sqrt(bc2)
-        denom += eps
+        denom += _ADAM_EPS
         np.divide(m, denom, out=denom)
         denom *= lr / bc1
         p.data -= denom

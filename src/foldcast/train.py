@@ -129,7 +129,7 @@ class Forecaster:
     def fuse(self, inputs, tod, dow):
         """(B, N, T) inputs -> (B, tokens, width), ``config.folded_shape``'s tokens."""
         tokens = inputs if self.config.folding == M.TFG else inputs.transpose(0, 2, 1)
-        return fuse_embeddings_batch(tokens, self.params.tables(), tod, dow)
+        return fuse_embeddings_batch(tokens, self.params.tensors, tod, dow)
 
     def encode_and_predict(self, z0):
         z = M.encoder_forward(z0, self.params, self.config.layers, self.config.heads)

@@ -22,6 +22,7 @@ from foldcast.data import (
     split_boundaries,
 )
 from foldcast.errors import DataError
+from foldcast.synth import generate_series
 
 MONDAY = 1609718400  # 2021-01-04 00:00 UTC
 
@@ -355,3 +356,18 @@ class TestHistoricalAverage:
     def test_empty_train_set_rejected(self):
         with pytest.raises(DataError):
             ha_fit([], 3, 24)
+
+    @pytest.mark.parametrize("stride", [1, 40], ids=["all_windows", "rows_uncovered"])
+    def test_window_order_changes_no_bit(self, stride):
+        # each covered row counts once, in row order; at stride 40 a span
+        # of 24 rows leaves 16 rows between windows that no window covers
+        series = generate_series(20, 14, 48, noise=2.0, seed=7)
+        windows = make_windows(series, 12, 12)[0][::stride]
+        shuffled = [windows[i] for i in np.random.default_rng(0).permutation(len(windows))]
+        model = ha_fit(windows, 12, series.frequency)
+        other = ha_fit(shuffled, 12, series.frequency)
+        assert model.phase_mean.tobytes() == other.phase_mean.tobytes()
+        assert model.node_mean.tobytes() == other.node_mean.tobytes()
+        spans = [np.arange(w.anchor_t - 11, w.anchor_t + 13) for w in windows]
+        rows = np.unique(np.concatenate(spans))
+        assert np.allclose(model.node_mean, series.values[rows].mean(axis=0), rtol=1e-12)

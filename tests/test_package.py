@@ -1,6 +1,9 @@
 """The package root re-exports nothing, so ``foldcast.<name>`` is always the
-submodule of that name, never a function that shadows it."""
+submodule of that name, never a function that shadows it; and the
+submodules import each other without a cycle."""
+import ast
 import importlib
+import pathlib
 import pkgutil
 import types
 
@@ -33,3 +36,44 @@ def test_root_exports_only_the_version():
     public = {name for name in vars(foldcast) if not name.startswith("_")}
     assert public <= set(SUBMODULES)
     assert foldcast.__version__ == "0.1.0"
+
+
+def submodule_imports(name):
+    """The ``foldcast`` submodules that submodule ``name`` imports."""
+    path = pathlib.Path(foldcast.__path__[0]) / f"{name}.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import inside the flat package is one from foldcast
+            module = ".".join(filter(None, ["foldcast" if node.level else "", node.module]))
+            dotted = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for parts in (d.split(".") for d in dotted):
+            if parts[0] == "foldcast" and len(parts) > 1:
+                found.add(parts[1])
+    return found & set(SUBMODULES)
+
+
+def test_submodule_imports_have_no_cycle():
+    graph = {name: submodule_imports(name) for name in SUBMODULES}
+    done, path = set(), []
+
+    def visit(name):
+        assert name not in path, f"import cycle: {' -> '.join(path[path.index(name):] + [name])}"
+        if name in done:
+            return
+        path.append(name)
+        for dep in sorted(graph[name]):
+            visit(dep)
+        path.pop()
+        done.add(name)
+
+    for name in SUBMODULES:
+        visit(name)
+
+
+def test_model_imports_only_tensor():
+    assert submodule_imports("model") == {"tensor"}

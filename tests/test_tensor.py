@@ -634,8 +634,8 @@ class TestOwnedGradients:
         ids=["concat_lastdim", "transpose"],
     )
     def test_leaf_gradient_is_an_array_of_its_own(self, build):
-        # both ops copy the view of ``g`` they hand on, so a leaf keeps no
-        # view of the op's gradient (a concat slice would keep its
+        # both ops hand on a view of ``g``, which a leaf copies, so it keeps
+        # no view of the op's gradient (a concat slice would keep its
         # siblings' gradients alive with it)
         rng = np.random.default_rng(24)
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)

@@ -1,12 +1,15 @@
 """Folding and embedding fusion."""
+import re
+
 import numpy as np
 import pytest
 
 import foldcast.tensor as T
 from foldcast.data import SampleWindow
+from foldcast.errors import CheckpointError
 from foldcast.model import SF
 from foldcast.tensor import Tensor
-from foldcast.tokenize import EmbeddingTables, export_embeddings, fuse_embeddings_batch
+from foldcast.tokenize import export_embeddings, fuse_embeddings_batch
 from foldcast.train import Forecaster, TrainConfig
 
 
@@ -26,21 +29,17 @@ def make_tables(t_in, d, n, freq, rng=None, zero=False):
         arr = lambda *shape: np.zeros(shape)
     else:
         arr = lambda *shape: rng.standard_normal(shape)
-    return EmbeddingTables(
-        wx=Tensor(arr(t_in, d), requires_grad=True),
-        wx_b=Tensor(arr(d), requires_grad=True),
-        spatial=Tensor(arr(n, d), requires_grad=True),
-        tod=Tensor(arr(freq, d), requires_grad=True),
-        dow=Tensor(arr(7, d), requires_grad=True),
-    )
+    shapes = {"embed.wx": (t_in, d), "embed.wx_b": (d,), "embed.s": (n, d),
+              "embed.tod": (freq, d), "embed.dow": (7, d)}
+    return {name: Tensor(arr(*shape), requires_grad=True) for name, shape in shapes.items()}
 
 
 def identity_tables(t_in, n, freq):
     """Tables whose attribute projection is the identity (d = T), so the
     first d columns of a fused token are the folded token itself."""
     tables = make_tables(t_in, t_in, n, freq, rng=np.random.default_rng(0))
-    tables.wx.data = np.eye(t_in)
-    tables.wx_b.data = np.zeros(t_in)
+    tables["embed.wx"].data = np.eye(t_in)
+    tables["embed.wx_b"].data = np.zeros(t_in)
     return tables
 
 
@@ -131,21 +130,21 @@ class TestFusion:
         batch = rng.standard_normal((2, 3, 3))
         out = fuse_embeddings_batch(batch, tables, np.array([4, 6]), np.array([1, 1]))
         T.tsum(T.mul(out, rng.standard_normal(out.shape))).backward()
-        for t in (tables.wx, tables.wx_b, tables.spatial, tables.tod, tables.dow):
+        for t in tables.values():
             assert t.grad is not None and np.linalg.norm(t.grad) > 0
         # only looked-up temporal rows receive gradient
-        assert np.all(tables.tod.grad[[0, 1, 2, 3, 5, 7, 8, 9]] == 0)
-        assert np.any(tables.tod.grad[4] != 0) and np.any(tables.tod.grad[6] != 0)
-        assert np.all(tables.dow.grad[[0, 2, 3, 4, 5, 6]] == 0)
-        assert np.any(tables.dow.grad[1] != 0)
+        tod_grad, dow_grad = tables["embed.tod"].grad, tables["embed.dow"].grad
+        assert np.all(tod_grad[[0, 1, 2, 3, 5, 7, 8, 9]] == 0)
+        assert np.any(tod_grad[4] != 0) and np.any(tod_grad[6] != 0)
+        assert np.all(dow_grad[[0, 2, 3, 4, 5, 6]] == 0)
+        assert np.any(dow_grad[1] != 0)
 
 
 class TestExport:
     def test_csv_layout(self, tmp_path):
         rng = np.random.default_rng(7)
         tables = make_tables(t_in=3, d=4, n=2, freq=6, rng=rng)
-        blobs = {"embed.wx": tables.wx.data, "embed.s": tables.spatial.data,
-                 "embed.tod": tables.tod.data, "embed.dow": tables.dow.data}
+        blobs = {name: t.data for name, t in tables.items()}
         path = tmp_path / "emb.csv"
         export_embeddings(blobs, path)
         lines = path.read_text().strip().split("\n")
@@ -153,4 +152,20 @@ class TestExport:
         assert len(lines) == 1 + 2 + 6 + 7
         first = lines[1].split(",")
         assert first[0] == "spatial" and first[1] == "0"
-        assert float(first[2]) == tables.spatial.data[0, 0]
+        assert float(first[2]) == tables["embed.s"].data[0, 0]
+
+    @pytest.mark.parametrize(
+        "name, table",
+        [("embed.dow", None), ("embed.s", np.ones(2)), ("embed.tod", np.ones((6, 5)))],
+        ids=["dow_missing", "spatial_1d", "tod_wider_than_wx"],
+    )
+    def test_bad_table_raises_before_writing(self, tmp_path, name, table):
+        tables = make_tables(t_in=3, d=4, n=2, freq=6, zero=True)
+        blobs = {key: t.data for key, t in tables.items()}
+        if table is None:
+            del blobs[name]
+        else:
+            blobs[name] = table
+        with pytest.raises(CheckpointError, match=re.escape(name)):
+            export_embeddings(blobs, tmp_path / "emb.csv")
+        assert list(tmp_path.iterdir()) == []
