@@ -82,7 +82,9 @@ def _build_parser():
     )
     p.add_argument("--values", help="comma-separated axis values (defaults per axis)")
 
-    p = common(sub.add_parser("synth", help="generate a synthetic dataset"))
+    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--nodes", type=int, default=20)
     p.add_argument("--days", type=int, default=14)
     p.add_argument("--freq", type=int, default=48)
@@ -90,8 +92,9 @@ def _build_parser():
     p.add_argument("--path", help="output file (default <out>/synthetic.txt)")
     p.add_argument("--format", choices=["text", "binary"], default="text")
 
-    p = common(sub.add_parser("dump-embeddings", help="export embedding tables as CSV"))
+    p = sub.add_parser("dump-embeddings", help="export embedding tables as CSV")
     p.add_argument("--checkpoint", required=True)
+    p.add_argument("--out", default="out", help="output directory")
 
     return parser
 
@@ -110,7 +113,7 @@ def _overrides(args):
     return over
 
 
-def _resolve(args, require_dataset=True, snapshot_dir=None):
+def _resolve(args, snapshot_dir=None):
     """The run config from ``--config``, else (given ``snapshot_dir``) from
     the snapshot there, which must then exist, else from the defaults."""
     file_values = None
@@ -122,11 +125,10 @@ def _resolve(args, require_dataset=True, snapshot_dir=None):
             raise ConfigError(f"no run config: pass --config or keep {snap} beside the checkpoint")
         file_values = C.parse_config_file(snap)
     run = C.resolve(file_values, _overrides(args))
-    if require_dataset:
-        if not run.dataset:
-            raise ConfigError("no dataset path configured (set the 'dataset' key)")
-        if not os.path.exists(run.dataset):
-            raise ConfigError(f"dataset path not found: {run.dataset}")
+    if not run.dataset:
+        raise ConfigError("no dataset path configured (set the 'dataset' key)")
+    if not os.path.exists(run.dataset):
+        raise ConfigError(f"dataset path not found: {run.dataset}")
     return run
 
 
@@ -209,14 +211,13 @@ def cmd_eval(args):
 
 def _variants(cfg, key, raw_values):
     """(raw, config) for each comma-separated value of config key ``key``:
-    ``cfg`` with that value, parsed as the config file parses it and
-    validated; a bad value raises ConfigError."""
+    ``cfg`` with that value, parsed as the config file parses it; a bad
+    value raises ConfigError."""
     variants = []
     for raw in raw_values.split(","):
         raw = raw.strip()
         try:
             variant = replace(cfg, **{key: C.SCHEMA[key][0](raw)})
-            variant.validate()
         except ValueError as exc:
             raise ConfigError(f"bad {key} value {raw!r}: {exc}") from exc
         variants.append((raw, variant))
@@ -279,11 +280,8 @@ def cmd_ablate(args):
 
 
 def cmd_synth(args):
-    run = _resolve(args, require_dataset=False)
     try:
-        series = generate_series(
-            args.nodes, args.days, args.freq, args.noise, run.train.seed
-        )
+        series = generate_series(args.nodes, args.days, args.freq, args.noise, args.seed)
     except ValueError as exc:  # a DataError too: every input here is a flag
         raise ConfigError(f"synth: {exc}") from exc
     path = args.path or os.path.join(
@@ -296,7 +294,6 @@ def cmd_synth(args):
 
 
 def cmd_dump_embeddings(args):
-    _resolve(args, require_dataset=False)  # checks --set and --seed; the tables need no config
     _make_out_dir(args.out)
     _, blobs = read_checkpoint(args.checkpoint)
     out_path = os.path.join(args.out, "embeddings.csv")

@@ -4,7 +4,7 @@ Files are flat ``key = value`` lines with ``#`` comments. Unknown keys are
 rejected; missing keys fall back to the documented defaults (the large-
 network profile: embed 64, ffn 1024, 4 heads, 1 layer, mask ratio 0.2,
 subgraph 50, lr 1e-4 with a milestone-55 0.1x decay, patience 10).
-Command-line flags override file values.
+Command-line flags override file values; the config is checked when made.
 """
 from __future__ import annotations
 
@@ -69,7 +69,7 @@ def resolve(file_values=None, overrides=None):
     """Merge file values and overrides onto the defaults.
 
     ``overrides`` maps key -> raw string (CLI wins over file). Returns a
-    RunConfig with a validated TrainConfig.
+    RunConfig; a value its TrainConfig rejects raises ConfigError.
     """
     merged = {}
     for source in (file_values or {}), (overrides or {}):
@@ -88,9 +88,8 @@ def resolve(file_values=None, overrides=None):
         else:
             resolved[key] = default
     dataset = resolved.pop("dataset")
-    cfg = TrainConfig(**resolved)
     try:
-        cfg.validate()
+        cfg = TrainConfig(**resolved)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return RunConfig(train=cfg, dataset=dataset)

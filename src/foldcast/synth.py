@@ -25,6 +25,8 @@ def generate_series(n_nodes, days, frequency, noise, seed):
         raise ValueError("n_nodes, days, frequency must all be >= 1")
     if not 0 <= noise < np.inf:  # written so that NaN fails too
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
+    if seed < 0:  # SeedSequence takes no negative entropy
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     steps = days * frequency
     base = rng.uniform(80.0, 120.0, size=n_nodes)

@@ -323,15 +323,14 @@ def _affine(x, w, b, activate):
     return _from_op(data, (nx, nw, nb), backward)
 
 
-def tsum(t, axis=None, keepdims=False):
+def tsum(t):
+    """Sum of every element: a 0-d tensor."""
     t = _as_tensor(t)
     node = _grad_node(t)
     shape = t.data.shape
-    data = t.data.sum(axis=axis, keepdims=keepdims)
+    data = t.data.sum()
 
     def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         _accumulate(node, np.broadcast_to(g, shape).copy())
 
     return _from_op(np.asarray(data), (node,), backward)

@@ -39,13 +39,8 @@ def fuse_embeddings_batch(tokens, params, tod_indices, dow_indices):
     """
     b, n, _ = tokens.shape
     tod, dow = params["embed.tod"], params["embed.dow"]
-    freq = tod.shape[0]
     tod_indices = np.asarray(tod_indices)
     dow_indices = np.asarray(dow_indices)
-    if tod_indices.min() < 0 or tod_indices.max() >= freq:
-        raise IndexError(f"tod index out of range [0, {freq})")
-    if dow_indices.min() < 0 or dow_indices.max() >= 7:
-        raise IndexError("dow index out of range [0, 7)")
     parts = [T.linear(tokens, params["embed.wx"], params["embed.wx_b"])]
     if "embed.s" in params:
         parts.append(T.gather_rows(params["embed.s"], np.broadcast_to(np.arange(n), (b, n))))

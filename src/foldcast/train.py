@@ -35,9 +35,10 @@ TRAIN_LOG_COLUMNS = (
 BENCH_COLUMNS = "config_id,r,s,tokens,params,act_floats,epoch_seconds"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Resolved run settings; defaults mirror the PEMS04-style profile."""
+    """Resolved run settings; defaults mirror the PEMS04-style profile.
+    Making one, ``replace()`` too, checks it: a bad value raises ValueError."""
 
     t_in: int = 24
     horizon: int = 24
@@ -71,7 +72,7 @@ class TrainConfig:
             return n_nodes, self.t_in, self.horizon
         return self.t_in, n_nodes, n_nodes
 
-    def validate(self):
+    def __post_init__(self):
         if self.t_in < 1 or self.horizon < 1:
             raise ValueError("t_in and horizon must be >= 1")
         if not 0 <= self.mask_ratio < 1:
@@ -272,7 +273,6 @@ def train(config, series, progress=None):
     ``patience`` epochs without validation-MAE improvement and the
     best-validation parameters are restored.
     """
-    config.validate()
     stats, windows = normalized_windows(config, series)
     train_w = windows[0]
     if not train_w:

@@ -414,8 +414,7 @@ class TestDumpEmbeddings:
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         code = main(
-            ["dump-embeddings", "--checkpoint", str(out / "checkpoint.bin"),
-             "--config", str(cfg), "--out", str(out)]
+            ["dump-embeddings", "--checkpoint", str(out / "checkpoint.bin"), "--out", str(out)]
         )
         assert code == 0
         rows = read_csv(out / "embeddings.csv")
@@ -474,24 +473,23 @@ class TestDumpEmbeddings:
 
 
 class TestBadFlags:
-    @pytest.mark.parametrize(
-        "command", ["train", "eval", "bench", "ablate", "synth", "dump-embeddings"]
-    )
+    @pytest.mark.parametrize("command", ["train", "eval", "bench", "ablate", "synth"])
     def test_negative_seed_exits_2_and_writes_nothing(self, workspace, capsys, command):
         tmp_path, cfg, _ = workspace
         out = tmp_path / "x"
-        extra = {"ablate": ["--axis", "folding"], "eval": ["--checkpoint", str(cfg)],
-                 "dump-embeddings": ["--checkpoint", str(cfg)]}.get(command, [])
-        code = main([command, "--config", str(cfg), "--seed", "-1", *extra, "--out", str(out)])
+        extra = {"ablate": ["--axis", "folding"], "eval": ["--checkpoint", str(cfg)]}.get(command, [])
+        config = [] if command == "synth" else ["--config", str(cfg)]  # synth reads no config
+        code = main([command, *config, "--seed", "-1", *extra, "--out", str(out)])
         assert code == 2
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "command",
-        [["train"], ["eval", "--checkpoint", "{cfg}"], ["bench", "--subgraph-sizes", "3"],
-         ["ablate", "--axis", "folding"], ["synth", "--nodes", "3", "--days", "2"],
-         ["dump-embeddings", "--checkpoint", "{cfg}"]],
+        [["train", "--config", "{cfg}"], ["eval", "--checkpoint", "{cfg}", "--config", "{cfg}"],
+         ["bench", "--subgraph-sizes", "3", "--config", "{cfg}"],
+         ["ablate", "--axis", "folding", "--config", "{cfg}"],
+         ["synth", "--nodes", "3", "--days", "2"], ["dump-embeddings", "--checkpoint", "{cfg}"]],
         ids=lambda command: command[0],
     )
     def test_out_file_exits_2_before_loading_data(self, workspace, monkeypatch, capsys, command):
@@ -503,6 +501,26 @@ class TestBadFlags:
         out = tmp_path / "taken"
         out.write_text("not a directory\n")
         argv = [arg.format(cfg=cfg) for arg in command]
-        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert main(argv + ["--out", str(out)]) == 2
         assert "cannot create output directory" in capsys.readouterr().err
         assert out.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(["synth"], "--config"), (["synth"], "--set"),
+         (["dump-embeddings", "--checkpoint", "{ck}"], "--config"),
+         (["dump-embeddings", "--checkpoint", "{ck}"], "--set"),
+         (["dump-embeddings", "--checkpoint", "{ck}"], "--seed")],
+        ids=["synth-config", "synth-set", "dump-config", "dump-set", "dump-seed"],
+    )
+    def test_run_config_flag_is_not_taken(self, workspace, capsys, command, flag):
+        # synth and dump-embeddings read no run config, so they take none of its flags
+        tmp_path, cfg, _ = workspace
+        out = tmp_path / "x"
+        value = {"--config": str(cfg), "--set": "seed=3", "--seed": "3"}[flag]
+        argv = [arg.format(ck=tmp_path / "ck.bin") for arg in command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()

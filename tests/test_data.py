@@ -31,6 +31,12 @@ def series_from(values, frequency=24, start=MONDAY):
     return TrafficSeries(np.asarray(values, dtype=float), frequency=frequency, start=start)
 
 
+class TestSynth:
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="seed"):
+            generate_series(3, 1, 12, noise=1.0, seed=-1)
+
+
 class TestLoadSave:
     def test_text_round_trip(self, tmp_path):
         series = series_from([[1.5, 2.25], [3.0, 4.125]], frequency=24)

@@ -58,7 +58,6 @@ class TestMSA:
     def test_head_dim_and_scale_for_large_profile(self):
         # the PEMS04 profile is TrainConfig's default
         config = TrainConfig()
-        config.validate()
         assert config.width == 256
         assert config.width // config.heads == 64
         assert np.sqrt(config.width // config.heads) == 8.0
@@ -66,7 +65,7 @@ class TestMSA:
     def test_heads_must_divide_width(self):
         # embed_dim 2 makes the TFG token width 8
         with pytest.raises(ValueError, match=r"heads \(3\) must divide the token width \(8\)"):
-            TrainConfig(embed_dim=2, heads=3).validate()
+            TrainConfig(embed_dim=2, heads=3)
 
     def test_single_token_attention_is_value_projection(self):
         rng = np.random.default_rng(0)

@@ -1,5 +1,6 @@
 """Training loop behavior: schedule, early stopping, convergence,
 train/inference consistency, graph release, and resource accounting."""
+import dataclasses
 import math
 import tracemalloc
 import weakref
@@ -69,6 +70,31 @@ def tiny_config(**kw):
 
 def sinusoid_series(n_nodes=6, days=6, freq=24, seed=0):
     return generate_series(n_nodes, days, freq, noise=1.0, seed=seed)
+
+
+class TestConfigChecksItself:
+    # each bad value is rejected where the config is made, with no call to remember
+    BAD = [
+        ({"embed_dim": 2, "heads": 3}, r"heads \(3\) must divide the token width \(8\)"),
+        ({"mask_ratio": 1.0}, "mask_ratio"),
+        ({"lr": float("nan")}, "lr"),
+    ]
+
+    @pytest.mark.parametrize("bad, message", BAD, ids=["heads", "mask_ratio", "nan_lr"])
+    def test_making_a_bad_config_raises(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**bad)
+
+    @pytest.mark.parametrize("bad, message", BAD, ids=["heads", "mask_ratio", "nan_lr"])
+    def test_replacing_into_a_bad_config_raises(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(tiny_config(), **bad)
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = tiny_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.mask_ratio = 1.0
+        assert cfg.mask_ratio == 0.2
 
 
 class TestSchedule:

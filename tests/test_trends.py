@@ -44,8 +44,11 @@ def test_folding_variants_structural_and_resource_contracts():
         batch_size=16, lr=2e-3, mask_ratio=0.0, subgraph_size=16,
         seed=2, max_epochs=6, patience=10,
     )
-    tfg = train(base, series)
-    sf = train(replace(base, folding="SF"), series)
+    # two runs each, alternating TFG, SF, TFG, SF, so that one slow stretch
+    # on the host cannot decide the wall-time comparison below
+    tfg, sf, tfg_again, sf_again = (
+        train(replace(base, folding=folding), series) for folding in ("TFG", "SF") * 2
+    )
 
     # SF drops the per-node table and adds the time-axis output map
     assert "embed.s" in tfg.forecaster.params.manifest()
@@ -60,7 +63,8 @@ def test_folding_variants_structural_and_resource_contracts():
     tfg_tokens = tfg.log_rows[-1][7]
     sf_tokens = sf.log_rows[-1][7]
     assert sf_tokens < tfg_tokens
-    assert min(sf.wall_seconds) < min(tfg.wall_seconds)
+    fastest_sf = min(sf.wall_seconds + sf_again.wall_seconds)  # 12 epochs each
+    assert fastest_sf < min(tfg.wall_seconds + tfg_again.wall_seconds)
 
     # both produce finite-quality forecasts on the same split
     m_tfg = evaluate(tfg.forecaster, tfg.windows[2], tfg.stats)

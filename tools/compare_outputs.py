@@ -5,7 +5,8 @@ Usage: python3 tools/compare_outputs.py <checkout-a> <checkout-b>
 Runs one CLI matrix in each checkout, each command in a subprocess with
 ``PYTHONPATH=<checkout>/src`` and ``OMP_NUM_THREADS=1``, and always at
 the same output path, so that ``config.resolved`` and the paths echoed
-on stdout agree. The matrix: a small synthetic series; then, for the
+on stdout agree. The matrix: a small synthetic series, written in both
+the text and the binary format; then, for the
 determinism config of the acceptance suite and eight variants of it,
 ``train``, ``eval`` and ``dump-embeddings``; then ``ablate --axis
 folding`` and ``bench --mask-ratios 0,0.5 --epochs 1``. The measured
@@ -76,10 +77,11 @@ def run_matrix(checkout, work):
                 if name in WALL_COLUMNS else data
 
     data = os.path.join(work, "data", "series.txt")
-    outputs["synth.stdout"] = foldcast(
-        checkout, work, "synth", "--nodes", "5", "--days", "6", "--freq", "24",
-        "--noise", "1.0", "--seed", "3", "--path", data, "--out", os.path.join(work, "data"),
-    )
+    for fmt, path in (("text", data), ("binary", os.path.join(work, "data", "series.bin"))):
+        outputs[f"synth-{fmt}.stdout"] = foldcast(
+            checkout, work, "synth", "--nodes", "5", "--days", "6", "--freq", "24",
+            "--noise", "1.0", "--seed", "3", "--format", fmt, "--path", path,
+        )
     collect(os.path.join(work, "data"), "data")
     cfg = os.path.join(work, "run.cfg")
     with open(cfg, "w", encoding="utf-8") as fh:
