@@ -31,7 +31,8 @@ def save_checkpoint(params, path):
             for dim in t.data.shape:
                 fh.write(struct.pack("<Q", dim))
         for _, t in params.items():
-            fh.write(t.data.astype("<f8").tobytes())
+            # a float64 parameter on a little-endian host is written as it is
+            fh.write(np.ascontiguousarray(t.data, dtype="<f8"))
 
 
 def read_checkpoint(path):
@@ -74,11 +75,12 @@ def read_checkpoint(path):
             nbytes = 8 * math.prod(shape)
             if nbytes > size - fh.tell():
                 raise CheckpointError(f"{path}: truncated array {name}")
-            raw = need(fh, nbytes, f"array {name}")
             try:
-                blobs[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+                blobs[name] = np.empty(shape, dtype="<f8")
             except ValueError as exc:  # an empty array with a dimension numpy cannot hold
                 raise CheckpointError(f"{path}: bad shape {shape} for {name}") from exc
+            if fh.readinto(blobs[name]) != nbytes:
+                raise CheckpointError(f"{path}: truncated array {name}")
         if fh.tell() != size:
             raise CheckpointError(f"{path}: {size - fh.tell()} trailing bytes after the last array")
     return manifest, blobs

@@ -135,12 +135,15 @@ def build_params(config, n_nodes, frequency, rng):
 
 
 def msa(z, params, layer, heads):
-    """Multi-head self-attention within each leading-axis group.
+    """The pre-norm attention sublayer: layer norm ``ln1``, then multi-head
+    self-attention within each leading-axis group.
 
-    Scores are scaled by sqrt(width / heads); heads are concatenated and
-    passed through the output projection.
+    The norm and the qkv projection are one node. Scores are scaled by
+    sqrt(width / heads); heads are concatenated and passed through the
+    output projection.
     """
-    qkv = T.linear(z, params[f"enc.{layer}.qkv"], params[f"enc.{layer}.qkv_b"])
+    qkv = T.norm_linear(z, params[f"enc.{layer}.ln1.g"], params[f"enc.{layer}.ln1.b"],
+                        params[f"enc.{layer}.qkv"], params[f"enc.{layer}.qkv_b"])
     ctx = T.attention(qkv, heads)
     return T.linear(ctx, params[f"enc.{layer}.wo"], params[f"enc.{layer}.wo_b"])
 
@@ -150,10 +153,9 @@ def encoder_forward(z0, params, layers, heads):
     to the layer-normed input and added back."""
     z = z0
     for i in range(layers):
-        normed = T.layer_norm(z, params[f"enc.{i}.ln1.g"], params[f"enc.{i}.ln1.b"])
-        z = T.add(msa(normed, params, i, heads), z)
-        normed = T.layer_norm(z, params[f"enc.{i}.ln2.g"], params[f"enc.{i}.ln2.b"])
-        ffn = T.linear_gelu(normed, params[f"enc.{i}.ffn1"], params[f"enc.{i}.ffn1_b"])
+        z = T.add(msa(z, params, i, heads), z)
+        ffn = T.norm_linear_gelu(z, params[f"enc.{i}.ln2.g"], params[f"enc.{i}.ln2.b"],
+                                 params[f"enc.{i}.ffn1"], params[f"enc.{i}.ffn1_b"])
         ffn = T.linear(ffn, params[f"enc.{i}.ffn2"], params[f"enc.{i}.ffn2_b"])
         z = T.add(ffn, z)
     return z

@@ -14,9 +14,12 @@ as immutable after creation (the optimizer step on parameters is the one
 sanctioned exception), so repeated forward passes over identical inputs
 are bit-identical.
 
-Three fused ops keep the tape short: ``linear`` (x @ w + b as one node),
+Fused ops keep the tape short: ``linear`` (x @ w + b as one node),
 ``linear_gelu`` (GELU written over that GEMM's own output, so no
-pre-activation sits beside it) and ``attention`` (multi-head
+pre-activation sits beside it), ``norm_linear`` and ``norm_linear_gelu``
+(the same after a layer norm, whose output is scratch: the node keeps
+the normalized rows and 1/sigma, and its backward rebuilds the output for
+the weight gradient by the same two ops) and ``attention`` (multi-head
 softmax(QK^T/sqrt(hd))V over a packed qkv tensor, with a hand-written
 backward).
 
@@ -38,8 +41,9 @@ leaf's first gradient when it is a view of another array.
 
 Release: ``backward()`` drops each interior node's gradient, closure and
 parent links as soon as the closure has run, so the graph's arrays are
-freed as the walk goes (``linear`` drops its saved input rows before it
-allocates dx) and a second ``backward()`` through a released node raises.
+freed as the walk goes (``linear`` drops its saved input rows, and a
+``norm_linear`` node its rebuilt layer-norm output, before it allocates
+dx) and a second ``backward()`` through a released node raises.
 
 ``Tensor(data)`` copies ``data``; an op wraps a raw float64, C-ordered
 array operand without a copy.
@@ -280,8 +284,25 @@ def linear_gelu(x, w, b):
     return _affine(x, w, b, activate=True)
 
 
-def _affine(x, w, b, activate):
-    """``linear``, followed in place by GELU when ``activate``."""
+def norm_linear(x, gamma, beta, w, b):
+    """``linear(layer_norm(x, gamma, beta), w, b)`` as one node, bit for bit.
+
+    The node keeps the normalized rows and 1/sigma, never the layer
+    norm's output: the GEMM reads that from a scratch buffer, and the
+    backward rebuilds it, by the same two ops, for the weight gradient.
+    """
+    return _affine(x, w, b, activate=False, norm=(gamma, beta))
+
+
+def norm_linear_gelu(x, gamma, beta, w, b):
+    """``linear_gelu(layer_norm(x, gamma, beta), w, b)`` as one node, bit
+    for bit; it keeps what ``norm_linear`` and ``linear_gelu`` keep."""
+    return _affine(x, w, b, activate=True, norm=(gamma, beta))
+
+
+def _affine(x, w, b, activate, norm=None):
+    """``linear``, followed in place by GELU when ``activate``; with
+    ``norm = (gamma, beta)``, ``linear`` of ``layer_norm(x, gamma, beta)``."""
     x, w = _as_tensor(x), _as_tensor(w)
     b = None if b is None else _as_tensor(b)
     if x.ndim < 2 or w.ndim != 2:
@@ -292,18 +313,31 @@ def _affine(x, w, b, activate):
         raise ShapeError(f"linear shapes disagree: {x.shape} @ {w.shape} + {b_shape}")
     nx, nw = _grad_node(x), _grad_node(w)
     nb = None if b is None else _grad_node(b)
+    gamma = beta = ng = nbeta = xhat = inv = None
+    if norm is not None:
+        gamma, beta = _ln_affine(x, *norm)
+        ng, nbeta = _grad_node(gamma), _grad_node(beta)
+        gamma, beta = gamma.data, beta.data
+    taped = any(node is not None for node in (nx, nw, nb, ng, nbeta))
     x_shape = x.data.shape
-    x2 = x.data if x.ndim == 2 else np.ascontiguousarray(x.data).reshape(-1, k)
-    data = x2 @ w.data
+    if norm is None:
+        rows = x.data if x.ndim == 2 else np.ascontiguousarray(x.data).reshape(-1, k)
+    else:
+        xhat, inv = _ln_normalize(x.data)
+        # with no tape nothing reads xhat again, so the output overwrites it
+        rows = _ln_scale_shift(xhat, gamma, beta, out=None if taped else xhat).reshape(-1, k)
+    data = rows @ w.data
+    # a layer norm's output is rebuilt for the weight gradient, not kept
+    x_rows = rows if nw is not None and norm is None else None
+    del rows
     if b is not None:
         data += b.data
     data = data.reshape(x_shape[:-1] + (n,))
-    taped = nx is not None or nw is not None or nb is not None
     deriv = np.empty(data.shape) if activate and taped else None
     if activate:
         _gelu_into(data, data, deriv)
-    w_data = w.data if nx is not None else None
-    x_rows = x2 if nw is not None else None
+    needs_dx = nx is not None or ng is not None or nbeta is not None
+    w_data = w.data if needs_dx else None
 
     def backward(g):
         # dW and db first, then the saved input rows and the GELU
@@ -313,14 +347,20 @@ def _affine(x, w, b, activate):
             g *= deriv
         g2 = g.reshape(-1, n)
         if nw is not None:
+            if x_rows is None:
+                x_rows = _ln_scale_shift(xhat, gamma, beta).reshape(-1, k)
             _accumulate(nw, x_rows.T @ g2)
         if nb is not None:
             _accumulate(nb, g.sum(axis=tuple(range(g.ndim - 1))))
         deriv = x_rows = None
-        if nx is not None:
-            _accumulate(nx, (g2 @ w_data.T).reshape(x_shape))
+        if needs_dx:
+            dx = (g2 @ w_data.T).reshape(x_shape)
+            if norm is None:
+                _accumulate(nx, dx)
+            else:
+                _ln_backward(dx, xhat, inv, gamma, nx, ng, nbeta)
 
-    return _from_op(data, (nx, nw, nb), backward)
+    return _from_op(data, (nx, nw, nb, ng, nbeta), backward)
 
 
 def tsum(t):
@@ -503,39 +543,68 @@ _LN_EPS = 1e-5  # added to the variance
 def layer_norm(x, gamma, beta):
     """Normalize each last-dim slice to zero mean / unit population variance,
     then scale and shift. ``gamma``/``beta`` are 1-D of the last-dim length."""
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    x = _as_tensor(x)
+    gamma, beta = _ln_affine(x, gamma, beta)
+    nx, ng, nb = _grad_node(x), _grad_node(gamma), _grad_node(beta)
+    xhat, inv = _ln_normalize(x.data)
+    data = _ln_scale_shift(xhat, gamma.data, beta.data)
+    gamma_data = gamma.data
+
+    def backward(g):
+        _ln_backward(g, xhat, inv, gamma_data, nx, ng, nb)
+
+    return _from_op(data, (nx, ng, nb), backward)
+
+
+# The layer-norm formulas, shared by ``layer_norm`` and the fused
+# ``norm_linear`` nodes so that both compute the same bits.
+
+
+def _ln_affine(x, gamma, beta):
+    """``gamma`` and ``beta`` as tensors, checked against ``x``'s last dim."""
+    gamma, beta = _as_tensor(gamma), _as_tensor(beta)
     n = x.data.shape[-1]
     if gamma.data.shape != (n,) or beta.data.shape != (n,):
         raise ShapeError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} "
             f"do not match last dim {n}"
         )
-    nx, ng, nb = _grad_node(x), _grad_node(gamma), _grad_node(beta)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu
+    return gamma, beta
+
+
+def _ln_normalize(x):
+    """(xhat, 1/sigma): ``x``'s last-dim slices at zero mean and unit variance."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = x - mu
     var = (xhat**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
-    data = xhat * gamma.data
-    data += beta.data
-    gamma_data = gamma.data if nx is not None else None
+    return xhat, inv
 
-    def backward(g):
-        lead = tuple(range(g.ndim - 1))
-        if nb is not None:
-            _accumulate(nb, g.sum(axis=lead))
-        if ng is not None:
-            _accumulate(ng, (g * xhat).sum(axis=lead))
-        if nx is not None:
-            dxhat = g * gamma_data
-            dx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
-            _accumulate(nx, dx)
 
-    return _from_op(data, (nx, ng, nb), backward)
+def _ln_scale_shift(xhat, gamma, beta, out=None):
+    """The layer norm's output ``xhat * gamma + beta``, in a new array or ``out``."""
+    y = np.multiply(xhat, gamma, out=out)
+    y += beta
+    return y
+
+
+def _ln_backward(g, xhat, inv, gamma, nx, ng, nb):
+    """Push the layer norm output's gradient ``g`` to the nodes of beta,
+    gamma and x that need one."""
+    lead = tuple(range(g.ndim - 1))
+    if nb is not None:
+        _accumulate(nb, g.sum(axis=lead))
+    if ng is not None:
+        _accumulate(ng, (g * xhat).sum(axis=lead))
+    if nx is not None:
+        dxhat = g * gamma
+        dx = inv * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+        _accumulate(nx, dx)
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)

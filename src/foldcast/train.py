@@ -302,10 +302,10 @@ def train(config, series, progress=None):
                 raise DivergenceError(
                     f"non-finite training loss at epoch {epoch}"
                 )
-            params.zero_grads()
             # each closure, and the activations it holds, is freed once it has run
             loss.backward()
             T.adam_step(params.tensors, params.grads(), state, lr)
+            params.zero_grads()  # so no gradient sits under the next forward
             losses.append(loss.item())
             del loss  # nothing of the step outlives it
             tokens_processed += tokens

@@ -1,13 +1,16 @@
 """Checkpoint round trips, corruption handling and atomic saves."""
+import contextlib
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from foldcast import checkpoint
 from foldcast.checkpoint import VERSION, load_into, read_checkpoint, save_checkpoint
 from foldcast.errors import CheckpointError
-from foldcast.model import build_params
+from foldcast.model import ModelParams, build_params
 from foldcast.train import TrainConfig
 
 
@@ -31,6 +34,44 @@ class TestCheckpoint:
         load_into(fresh, path)
         for name, t in params.items():
             assert np.array_equal(fresh[name].data, t.data), name
+
+    def test_file_is_the_manifest_then_each_array_little_endian(self, tmp_path):
+        params = small_params(seed=3)
+        params.add("scalar", np.array(-0.0))
+        path = tmp_path / "ck.bin"
+        save_checkpoint(params, path)
+        want = bytes([VERSION]) + struct.pack("<I", len(params.tensors))
+        for name, t in params.items():
+            want += struct.pack(f"<H{len(name)}sB{t.ndim}Q", len(name), name.encode(), t.ndim,
+                                *t.shape)
+        for _, t in params.items():
+            want += t.data.astype("<f8").tobytes()
+        assert path.read_bytes() == want
+        manifest, blobs = read_checkpoint(path)
+        assert manifest == params.manifest()
+        for name, t in params.items():
+            assert blobs[name].shape == t.shape and blobs[name].tobytes() == t.data.tobytes()
+
+    def test_save_and_read_copy_no_array(self, tmp_path):
+        params = ModelParams()
+        params.add("big", np.arange(2.0**17))
+        nbytes = params["big"].data.nbytes
+        path = tmp_path / "ck.bin"
+        tracemalloc.start()
+        try:
+            save_checkpoint(params, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            _, blobs = read_checkpoint(path)
+            read_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # the parameter is written from its own buffer and read into the
+        # array returned; a copy of either would add a whole array
+        assert save_peak < 0.25 * nbytes, save_peak
+        assert read_peak < 1.25 * nbytes, read_peak
+        assert np.array_equal(blobs["big"], params["big"].data)
 
     def test_version_byte_first(self, tmp_path):
         params = small_params()
@@ -104,24 +145,36 @@ class TestCheckpoint:
             load_into(other, path)
 
 
-class _UnwritableArray(np.ndarray):
-    """Parameter data whose serialization fails, as on a full disk."""
+class _FullDisk:
+    """A file that takes ``room`` bytes, then fails as on a full disk."""
 
-    def astype(self, *args, **kwargs):
-        raise OSError("No space left on device")
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, data):
+        size = memoryview(data).nbytes
+        if size > self.room:
+            raise OSError("No space left on device")
+        self.room -= size
+        return self.fh.write(data)
 
 
 class TestAtomicSave:
-    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "checkpoint.bin"
         save_checkpoint(small_params(seed=1), path)
         before = path.read_bytes()
-        params = small_params(seed=2)
-        # the manifest and the first arrays are written before this one fails
-        t = params[list(params.tensors)[3]]
-        t.data = t.data.view(_UnwritableArray)
+        real_open = checkpoint.atomic_open
+
+        @contextlib.contextmanager
+        def filling_open(*args, **kwargs):
+            # the manifest and the first arrays are written before a write fails
+            with real_open(*args, **kwargs) as fh:
+                yield _FullDisk(fh, len(before) // 2)
+
+        monkeypatch.setattr(checkpoint, "atomic_open", filling_open)
         with pytest.raises(OSError, match="No space"):
-            save_checkpoint(params, path)
+            save_checkpoint(small_params(seed=2), path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["checkpoint.bin"]
 

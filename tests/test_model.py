@@ -23,8 +23,16 @@ def toy_params(cfg, rng):
     return build_params(cfg, 4, 12, rng)
 
 
+def ln1_rows(z, params):
+    """Layer 0's ``ln1`` over ``z``'s last axis, straight from its formula."""
+    mu = z.mean(axis=-1, keepdims=True)
+    var = ((z - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (z - mu) / np.sqrt(var + 1e-5) * params["enc.0.ln1.g"].data + params["enc.0.ln1.b"].data
+
+
 def loop_attention(z, params, heads):
-    """Brute-force per-element attention used as the independent oracle."""
+    """Brute-force per-element pre-norm attention, the independent oracle."""
+    z = ln1_rows(z, params)
     wqkv = params["enc.0.qkv"].data
     bqkv = params["enc.0.qkv_b"].data
     wo = params["enc.0.wo"].data
@@ -74,7 +82,7 @@ class TestMSA:
         z = rng.standard_normal((2, 1, 8))
         out = msa(Tensor(z), params, 0, cfg.heads).data
         w = cfg.width
-        qkv = z @ params["enc.0.qkv"].data + params["enc.0.qkv_b"].data
+        qkv = ln1_rows(z, params) @ params["enc.0.qkv"].data + params["enc.0.qkv_b"].data
         v = qkv[..., 2 * w :]
         expected = v @ params["enc.0.wo"].data + params["enc.0.wo_b"].data
         assert np.max(np.abs(out - expected)) < 1e-12
@@ -83,6 +91,8 @@ class TestMSA:
         rng = np.random.default_rng(1)
         cfg = toy_config()
         params = toy_params(cfg, rng)
+        for name in ("enc.0.ln1.g", "enc.0.ln1.b"):
+            params[name].data = rng.standard_normal(params[name].shape)
         z = rng.standard_normal((2, 3, 8))
         ours = msa(Tensor(z), params, 0, cfg.heads).data
         oracle = loop_attention(z, params, cfg.heads)
@@ -96,9 +106,10 @@ class TestMSA:
 
 
 def reference_msa(z, params, layer, heads):
-    """The unfused slice/reshape/transpose/mul/softmax chain ``msa`` replaced."""
+    """The unfused layer_norm/slice/reshape/transpose/mul/softmax chain ``msa`` replaced."""
     groups, s, width = z.shape
     head_dim = width // heads
+    z = T.layer_norm(z, params[f"enc.{layer}.ln1.g"], params[f"enc.{layer}.ln1.b"])
     qkv = T.add(T.matmul(z, params[f"enc.{layer}.qkv"]), params[f"enc.{layer}.qkv_b"])
     parts = []
     for lo in (0, width, 2 * width):
@@ -118,11 +129,11 @@ class TestFusedParity:
         rng = np.random.default_rng(11)
         cfg = toy_config(width=width, heads=heads)
         params = toy_params(cfg, rng)
-        for name in ("enc.0.qkv_b", "enc.0.wo_b"):
+        names = ("enc.0.ln1.g", "enc.0.ln1.b", "enc.0.qkv", "enc.0.qkv_b", "enc.0.wo", "enc.0.wo_b")
+        for name in ("enc.0.ln1.g", "enc.0.ln1.b", "enc.0.qkv_b", "enc.0.wo_b"):
             params[name].data = rng.standard_normal(params[name].shape)
         z0 = rng.standard_normal((groups, s, width))
         w = rng.standard_normal((groups, s, width))
-        names = ("enc.0.qkv", "enc.0.qkv_b", "enc.0.wo", "enc.0.wo_b")
         results = []
         for fn in (msa, reference_msa):
             params.zero_grads()

@@ -346,6 +346,91 @@ class TestLinearGelu:
             assert arrays * out_bytes <= peak < (arrays + 0.5) * out_bytes, requires_grad
 
 
+def norm_oracle(fused):
+    """The unfused chain a ``norm_linear`` node stands for."""
+    after = {T.norm_linear: T.linear, T.norm_linear_gelu: T.linear_gelu}[fused]
+    return lambda x, gamma, beta, w, b: after(T.layer_norm(x, gamma, beta), w, b)
+
+
+class TestNormLinear:
+    OPS = {"norm_linear": T.norm_linear, "norm_linear_gelu": T.norm_linear_gelu}
+    # (x, w) shapes: 150 x 64 outputs take GELU's one scipy pass, 1204 x
+    # 131 (over 2**17) its chunks
+    SHAPES = TestLinearGelu.SHAPES
+    # every subset of (x, gamma, beta, w, b) that needs a gradient; the
+    # empty one is a forward without a tape, as under ``no_grad``
+    GRADS = [tuple(bool(mask >> i & 1) for i in range(5)) for mask in range(32)]
+
+    @staticmethod
+    def values(rng, x_shape, w_shape):
+        k, n = w_shape
+        return [rng.standard_normal(x_shape) * 3 + 1, rng.standard_normal(k),
+                rng.standard_normal(k), rng.standard_normal(w_shape), rng.standard_normal(n)]
+
+    @staticmethod
+    def run(op, values, grads, proj):
+        tensors = [Tensor(v, requires_grad=r) for v, r in zip(values, grads)]
+        out = op(*tensors)
+        if out.requires_grad:
+            proj_loss(out, proj).backward()
+        return out, [t.grad for t in tensors]
+
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("size", SHAPES)
+    def test_matches_layer_norm_then_linear_bit_for_bit(self, op, size):
+        x_shape, w_shape = self.SHAPES[size]
+        rng = np.random.default_rng(34)
+        values = self.values(rng, x_shape, w_shape)
+        proj = rng.standard_normal(x_shape[:-1] + w_shape[1:])
+        fused = self.OPS[op]
+        for grads in self.GRADS:
+            out, got = self.run(fused, values, grads, proj)
+            want_out, want = self.run(norm_oracle(fused), values, grads, proj)
+            assert out.data.tobytes() == want_out.data.tobytes(), grads
+            assert out.requires_grad == any(grads) and (out._node is None) == (not any(grads))
+            for g, wg, needed in zip(got, want, grads):
+                assert (g is not None) == needed and (wg is not None) == needed, grads
+                if needed:
+                    assert g.tobytes() == wg.tobytes(), grads
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_grads_match_fd(self, op):
+        from scipy.special import erf
+
+        rng = np.random.default_rng(35)
+        values = self.values(rng, (2, 3, 4), (4, 5))
+        proj = rng.standard_normal((2, 3, 5))
+        _, grads = self.run(self.OPS[op], values, (True,) * 5, proj)
+
+        def f(args):
+            x, gamma, beta, w, b = args
+            mu = x.mean(axis=-1, keepdims=True)
+            var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+            h = ((x - mu) / np.sqrt(var + 1e-5) * gamma + beta) @ w + b
+            if op == "norm_linear_gelu":
+                h = h * 0.5 * (1 + erf(h / np.sqrt(2)))
+            return float((h * proj).sum())
+
+        for i, g in enumerate(grads):
+
+            def fi(v, i=i):
+                args = list(values)
+                args[i] = v
+                return f(args)
+
+            assert max_rel_err(g, central_diff(fi, values[i])) < 1e-5, i
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_keeps_the_normalized_rows_not_the_norms_output(self, op):
+        rng = np.random.default_rng(36)
+        values = self.values(rng, (3, 50, 16), (16, 64))
+        tensors = [Tensor(v, requires_grad=True) for v in values]
+        out = self.OPS[op](*tensors)
+        xhat = T.layer_norm(values[0], np.ones(16), np.zeros(16)).data
+        kept = [a for a in closure_arrays(out._node) if a.shape == xhat.shape]
+        assert len(kept) == 1 and np.array_equal(kept[0], xhat)
+
+
 class TestConcat:
     def test_four_parts_of_64(self):
         parts = [Tensor(np.zeros((5, 64))) for _ in range(4)]

@@ -487,7 +487,7 @@ class TestGraphRelease:
         gelu_weights = {id(forecaster.params[f"enc.{i}.ffn1"]) for i in range(cfg.layers)}
         gelu_weights.add(id(forecaster.params["head.0"]))
         buffers = {"qkv": [], "preact": [], "gelu_out": [], "residual": [], "fused": [],
-                   "gathered": []}
+                   "gathered": [], "ln_out": []}
 
         def spy(op, kind, picks=lambda args: True):
             real = getattr(T, op)
@@ -500,9 +500,11 @@ class TestGraphRelease:
 
             monkeypatch.setattr(T, op, recording)
 
-        spy("linear", "qkv", lambda args: id(args[1]) in qkv_weights)
+        spy("norm_linear", "qkv", lambda args: id(args[3]) in qkv_weights)
         spy("linear", "preact", lambda args: id(args[1]) in gelu_weights)
+        spy("norm_linear_gelu", "gelu_out")
         spy("linear_gelu", "gelu_out")
+        spy("layer_norm", "ln_out")
         spy("add", "residual")  # node-level training adds only the residuals
         spy("concat_lastdim", "fused")
         param_ids = {id(t) for t in forecaster.params.tensors.values()}
@@ -515,12 +517,20 @@ class TestGraphRelease:
             real_gelu_into(x, out, deriv)
 
         monkeypatch.setattr(T, "_gelu_into", gelu_into)
+        real_scale_shift = T._ln_scale_shift
+
+        def scale_shift(*args, **kwargs):  # a fused node's layer-norm output
+            out = real_scale_shift(*args, **kwargs)
+            buffers["ln_out"].append(weakref.ref(base_array(out)))
+            return out
+
+        monkeypatch.setattr(T, "_ln_scale_shift", scale_shift)
         inputs = rng.normal(size=(batch, n, cfg.t_in))
         targets = rng.normal(size=(batch, n, cfg.horizon))
         tod, dow = rng.integers(0, 24, batch), rng.integers(0, 7, batch)
         loss, _ = training_forward(forecaster, inputs, targets, tod, dow, rng)
         monkeypatch.undo()
-        assert [len(refs) for refs in buffers.values()] == [2, 0, 3, 4, 1, 1]
+        assert [len(refs) for refs in buffers.values()] == [2, 0, 3, 4, 1, 1, 4]
         # GELU wrote over its GEMM's output, the buffer the fused node
         # returns, so no pre-activation buffer of its own ever existed
         assert [in_place for in_place, _ in gelu_passes] == [True] * 3
@@ -529,9 +539,10 @@ class TestGraphRelease:
         alive = {kind: [i for i, ref in enumerate(refs) if ref() is not None]
                  for kind, refs in buffers.items()}
         # the last residual sum is the head's input, read by its weight
-        # gradient; each GELU output is the input of the next projection
+        # gradient; each GELU output is the input of the next projection; a
+        # layer norm's output is rebuilt from its normalized rows, not kept
         assert alive == {"qkv": [], "preact": [], "gelu_out": [0, 1, 2], "residual": [3],
-                         "fused": [], "gathered": []}
+                         "fused": [], "gathered": [], "ln_out": []}
         loss.backward()
         assert all(g is not None for g in forecaster.params.grads().values())
 
@@ -589,6 +600,28 @@ class TestGraphRelease:
         assert len(validations) == 2
         assert validations[0] > 1  # several steps per epoch
 
+    def test_no_gradient_outlives_its_adam_step(self, monkeypatch):
+        # each step's gradients go once Adam has read them, so none sits
+        # under the next forward, a validation pass or the returned model
+        held = {"forward": [], "validation": []}
+        real_forward = TRAIN_MODULE.training_forward
+        real_evaluate = TRAIN_MODULE.evaluate
+
+        def forward(forecaster, *args, **kwargs):
+            held["forward"].append(forecaster.params.grads())
+            return real_forward(forecaster, *args, **kwargs)
+
+        def validate(forecaster, *args, **kwargs):
+            held["validation"].append(forecaster.params.grads())
+            return real_evaluate(forecaster, *args, **kwargs)
+
+        monkeypatch.setattr(TRAIN_MODULE, "training_forward", forward)
+        monkeypatch.setattr(TRAIN_MODULE, "evaluate", validate)
+        result = train(tiny_config(max_epochs=2, patience=5), sinusoid_series(seed=11))
+        assert len(held["forward"]) > 2 and len(held["validation"]) == 2
+        assert all(grads == {} for grads in held["forward"] + held["validation"])
+        assert result.forecaster.params.grads() == {}
+
 
 class TestReleasedBackward:
     @pytest.mark.parametrize(
@@ -638,10 +671,12 @@ class TestStepPeak:
         return (forward_peak - graph) / unit, (backward_peak - graph) / unit
 
     def test_backward_excess_bounded(self):
-        # 0.75 here, now the forward's peak. It read 1.93 (1.89 at the
-        # PEMS04 profile) at the end of a backward that kept the whole graph,
-        # and 2.44 while GELU also kept its input and cdf and attention kept
-        # k and copied its gradient out of a head-major block.
+        # 0.75 here, now the forward's peak; 0.75 too over the graph that
+        # kept each layer norm's output, half a unit larger (6.57 units, now
+        # 6.07). It read 1.93 (1.89 at the PEMS04 profile) at the end of a
+        # backward that kept the whole graph, and 2.44 while GELU also kept
+        # its input and cdf and attention kept k and copied its gradient
+        # out of a head-major block.
         excess = max(self.step_excess(120, 8))
         assert excess <= 2.2, excess
 
@@ -650,7 +685,8 @@ class TestStepPeak:
         # attention block. The backward's dp and (dp * p) temporaries are
         # one block each: 2.27 here on top of the whole graph, 5.09 over all
         # 16 groups at once. With the graph released as the walk goes, 0.46:
-        # the forward's peak.
+        # the forward's peak, over the graph with or without the layer
+        # norms' outputs (8.49 and 7.99 units).
         excess = max(self.step_excess(120, 16, mask_strategy="all_zero"))
         assert excess <= 2.6, excess
 
@@ -659,9 +695,11 @@ class TestStepPeak:
         # The released backward reads 0.10 here under both strategies: each
         # closure's arrays go as it runs. The forward reads 0.75 (node_level)
         # and 0.46 (all_zero): in-place GELU's scratch is at most half an
-        # array, the rest the step's inputs. The full-graph fused tokens,
-        # kept through the encoder, lifted them to 1.06 and 0.71; with GELU
-        # taking a separate GEMM output as well, to 1.94 and 1.63.
+        # array, the rest the step's inputs. A fused layer norm's output is
+        # scratch too, a quarter of a unit here, freed before GELU's. The
+        # full-graph fused tokens, kept through the encoder, lifted them to
+        # 1.06 and 0.71; with GELU taking a separate GEMM output as well, to
+        # 1.94 and 1.63.
         forward, backward = self.step_excess(120, batch, mask_strategy=strategy)
         assert backward <= forward, (forward, backward)
         assert forward < {"node_level": 0.9, "all_zero": 0.6}[strategy], forward
