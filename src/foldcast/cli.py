@@ -29,6 +29,7 @@ from .train import (
     Forecaster,
     bench,
     evaluate,
+    format_cell,
     format_rows,
     normalized_windows,
     sample_geometry,
@@ -154,10 +155,6 @@ def _write_rows(out_dir, name, columns, rows):
     print(f"wrote {path}")
 
 
-def _fmt(v):
-    return repr(v) if isinstance(v, float) else str(v)
-
-
 def cmd_train(args):
     run = _resolve(args)
     _make_out_dir(args.out)
@@ -197,13 +194,13 @@ def cmd_eval(args):
     with atomic_open(out_path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["horizon_step", "rmse", "mae", "mape"])
-        writer.writerow(["all"] + [_fmt(v) for v in overall.row()])
+        writer.writerow(["all"] + [format_cell(v) for v in overall.row()])
         for j, acc in enumerate(per_horizon, start=1):
-            writer.writerow([j] + [_fmt(v) for v in acc.result().row()])
+            writer.writerow([j] + [format_cell(v) for v in acc.result().row()])
     print(f"metrics in original units; mape skips |truth| < {MAPE_FLOOR}")
     print(
-        f"{args.split} rmse={_fmt(overall.rmse)} mae={_fmt(overall.mae)} "
-        f"mape={_fmt(overall.mape)}"
+        f"{args.split} rmse={format_cell(overall.rmse)} mae={format_cell(overall.mae)} "
+        f"mape={format_cell(overall.mape)}"
     )
     print(f"wrote {out_path}")
     return 0

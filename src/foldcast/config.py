@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .train import TrainConfig
+from .train import TrainConfig, format_cell
 
 
 def _parse_int_list(raw):
@@ -104,9 +104,7 @@ def snapshot(run_config):
             value = run_config.dataset if run_config.dataset is not None else ""
         else:
             value = getattr(cfg, key)
-            if isinstance(value, tuple):
-                value = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-            elif isinstance(value, float):
-                value = repr(value)
+            cells = value if isinstance(value, tuple) else (value,)
+            value = ",".join(map(format_cell, cells))
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

@@ -726,8 +726,8 @@ def huber_loss(pred, target, delta, include=None):
     """
     pred = _as_tensor(pred)
     target = np.asarray(target, dtype=np.float64)
-    if delta <= 0:
-        raise ValueError(f"huber delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:  # written so that NaN fails too
+        raise ValueError(f"huber delta must be finite and > 0, got {delta}")
     if target.shape != pred.data.shape:
         raise ShapeError(f"huber shapes disagree: {pred.shape} vs {target.shape}")
     node = _grad_node(pred)

@@ -14,7 +14,6 @@ time cannot. Measured wall time is reported by the bench harness.
 from __future__ import annotations
 
 import time
-import tracemalloc
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -334,13 +333,15 @@ def train(config, series, progress=None):
     return result
 
 
+def format_cell(v):
+    """One output cell: repr() keeps a float shortest-round-trip, so
+    identical runs serialize identically; anything else is str()."""
+    return repr(v) if isinstance(v, float) else str(v)
+
+
 def format_rows(columns, rows):
-    """CSV text: the ``columns`` header line, then one line per row; repr()
-    keeps floats shortest-round-trip so identical runs serialize
-    identically."""
-    lines = [columns]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    """CSV text: the ``columns`` header line, then one line per row."""
+    lines = [columns] + [",".join(map(format_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -394,29 +395,30 @@ def estimate_epoch_seconds(config, n_nodes, n_train, n_val):
     return total / NOMINAL_FLOPS_PER_SECOND
 
 
-def activation_float_count(forecaster, windows):
-    """8-byte words one training step's graph holds: the numpy buffers a
-    ``training_forward`` over ``windows`` allocates that are still alive
-    while its loss is, measured with ``tracemalloc``. Boolean masks and
-    gather indices count by their bytes; the parameters, allocated before
-    the step, do not count. A caller's own tracing session keeps running."""
-    def numpy_bytes():
-        traces = tracemalloc.take_snapshot().traces
-        return sum(t.size for t in traces if t.domain == np.lib.tracemalloc_domain)
-
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        before = numpy_bytes()
-        loss, _ = training_forward(
-            forecaster, *stack_windows(windows), np.random.default_rng(forecaster.config.seed)
-        )
-        held = numpy_bytes() - before  # taken while ``loss`` keeps the graph alive
-    finally:
-        if started:
-            tracemalloc.stop()
-    return held / 8
+def activation_words(config, n_nodes, batch):
+    """8-byte words the graph of one training step over ``batch`` samples
+    holds while its loss lives: the arrays its backward closures keep,
+    parameters aside, counted from the geometry (R encoder slots in groups
+    of s). A boolean counts 1/8 word, and the loss itself 1."""
+    tokens, s = sample_geometry(config, n_nodes)
+    fold_tokens, features, _ = config.folded_shape(n_nodes)
+    w, f = config.width, config.ffn_dim
+    r = batch * tokens
+    # embedding input rows, tod and dow indices, concat offsets
+    words = batch * fold_tokens * (features + 2) + M.TOKEN_PARTS[config.folding] + 1
+    errors = included = batch * n_nodes * config.horizon  # loss error, include mask
+    if config.folding == M.SF:
+        words += 3 + batch * n_nodes * config.t_in  # transpose axes, sf.time input rows
+    elif config.mask_strategy == "node_level":
+        words += n_nodes + 2 * r  # node index, gather rows, live mask
+        errors, included = r * config.horizon, r
+    else:
+        words += n_nodes + batch * n_nodes * w  # node index, keep mask
+    # per layer: both layer norms' rows and 1/sigma, q, k^T and v, wo's input
+    # rows, the FFN's GELU derivative and hidden rows, and heads * s probabilities
+    words += config.layers * r * (6 * w + 2 + 2 * f + config.heads * s)
+    words += r * (w + 2 * f)  # head: input rows, GELU derivative, hidden rows
+    return words + errors + included / 8 + 1
 
 
 def bench(config, series, grid, epochs=3):
@@ -425,9 +427,10 @@ def bench(config, series, grid, epochs=3):
     Each grid point trains ``epochs`` epochs on the series and reports the
     per-sample encoder token count (``sample_geometry``), parameter count,
     the activation words one step over the first ``batch_size`` training
-    windows holds (``activation_float_count``), and the minimum measured
-    epoch wall time.
+    windows holds (``activation_words``), and the minimum measured epoch
+    wall time.
     """
+    n = series.node_count
     rows = []
     for r, s in grid:
         cfg = replace(
@@ -438,15 +441,15 @@ def bench(config, series, grid, epochs=3):
             patience=max(config.patience, epochs + 1),
         )
         result = train(cfg, series)
-        forecaster = result.forecaster
+        batch = min(cfg.batch_size, len(result.windows[0]))
         rows.append(
             [
                 f"r{r}_s{s}",
                 r,
                 s,
-                sample_geometry(cfg, forecaster.n_nodes)[0],
-                forecaster.params.param_count(),
-                activation_float_count(forecaster, result.windows[0][: cfg.batch_size]),
+                sample_geometry(cfg, n)[0],
+                result.forecaster.params.param_count(),
+                activation_words(cfg, n, batch),
                 min(result.wall_seconds),
             ]
         )

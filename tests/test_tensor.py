@@ -871,6 +871,11 @@ class TestHuber:
         with pytest.raises(ValueError, match="excluded"):
             T.huber_loss(Tensor([1.0]), np.zeros(1), 1.0, include=np.array([False]))
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        with pytest.raises(ValueError, match="huber delta"):
+            T.huber_loss(Tensor([1.0]), np.zeros(1), delta)
+
     def test_grad_matches_fd_including_near_knee(self):
         target = np.zeros(7)
         x = np.array([-3.0, -1.001, -0.999, 0.2, 0.999, 1.001, 2.5])

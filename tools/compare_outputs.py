@@ -9,9 +9,12 @@ on stdout agree. The matrix: a small synthetic series, written in both
 the text and the binary format; then, for the
 determinism config of the acceptance suite and eight variants of it,
 ``train``, ``eval`` and ``dump-embeddings``; then ``ablate --axis
-folding`` and ``bench --mask-ratios 0,0.5 --epochs 1``. The measured
-wall-time column of the ablate and bench CSVs is dropped before the
-comparison. Exits 0 when every output matches, 1 otherwise.
+folding`` and ``bench --mask-ratios 0,0.5 --epochs 1``, the bench once
+as configured and once each with ``--set folding=SF`` and ``--set
+mask_strategy=all_zero``, so that ``act_floats`` is compared for the
+node_level, SF and perturbation graphs. The measured wall-time column
+of the ablate and bench CSVs is dropped before the comparison. Exits 0
+when every output matches, 1 otherwise.
 
 Standard library only.
 """
@@ -36,6 +39,7 @@ VARIANTS = (
     "mask_strategy=partial_zero", "mask_strategy=random_value", "mask_ratio=0",
     "max_epochs=0", "patience=1", "layers=2",
 )
+BENCH_VARIANTS = ("folding=SF", "mask_strategy=all_zero")
 WALL_COLUMNS = {"ablate_folding.csv": "wall_seconds", "bench.csv": "epoch_seconds"}
 
 
@@ -103,6 +107,11 @@ def run_matrix(checkout, work):
     foldcast(checkout, work, "bench", "--config", cfg, "--mask-ratios", "0,0.5",
              "--epochs", "1", "--out", out)
     collect(out, "sweeps")
+    for variant in BENCH_VARIANTS:
+        out = os.path.join(work, "bench_" + variant.replace("=", "_"))
+        foldcast(checkout, work, "bench", "--config", cfg, "--set", variant,
+                 "--mask-ratios", "0,0.5", "--epochs", "1", "--out", out)
+        collect(out, f"bench {variant}")
     return outputs
 
 
