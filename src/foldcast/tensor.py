@@ -21,14 +21,17 @@ pre-activation sits beside it), ``norm_linear`` and ``norm_linear_gelu``
 the normalized rows and 1/sigma, and its backward rebuilds the output for
 the weight gradient by the same two ops) and ``attention`` (multi-head
 softmax(QK^T/sqrt(hd))V over a packed qkv tensor, with a hand-written
-backward).
+backward that keeps q, k^T and v, not the probabilities).
 
 ``attention`` and GELU work through their input a cache-sized block
 at a time: attention by groups, GELU by elements. Each group or element
 goes through the operations of one whole-array pass in the same order,
-so blocking changes no bit (a NaN's sign aside). GELU's erf is scipy's
-bit for bit: on a large input, cephes' rational in numpy where
-|x / sqrt(2)| <= 1 and scipy itself elsewhere.
+so blocking changes no bit (a NaN's sign aside). Attention's
+probabilities live one block at a time, in scratch: its backward
+recomputes each block's by the forward's own calls, as in the
+FlashAttention backward, so a graph holds no groups * heads * s^2
+array. GELU's erf is scipy's bit for bit: on a large input, cephes'
+rational in numpy where |x / sqrt(2)| <= 1 and scipy itself elsewhere.
 
 Gradient ownership: a node's ``.grad`` array belongs to that node alone.
 A node takes over its first gradient and adds later ones into it in
@@ -479,16 +482,30 @@ def softmax_lastdim(x):
 _ATTENTION_BLOCK_FLOATS = 2**18
 
 
+def _attention_probs(q, kt, scale, scratch):
+    """softmax(q k^T * scale) for one block of groups, written into the
+    first ``len(q)`` groups of ``scratch``. Forward and backward both call
+    it, so the backward rebuilds the forward's probabilities bit for bit."""
+    p = scratch[: len(q)]
+    np.matmul(q, kt, out=p)
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
 def attention(qkv, heads):
     """Multi-head self-attention over packed projections, as one node.
 
     ``qkv`` is (groups, s, 3w): queries, keys and values side by side, each
     split into ``heads`` heads of width hd = w / heads. Returns the
-    (groups, s, w) merged-head context softmax(Q K^T / sqrt(hd)) V. The
-    backward keeps the probabilities, q, k^T and v, each an array of its
-    own; k itself is not kept. Both directions walk the groups in blocks of
-    about 2 MiB of probabilities; without a tape the probabilities are one
-    block's scratch, not groups * heads * s^2 floats.
+    (groups, s, w) merged-head context softmax(Q K^T / sqrt(hd)) V. Both
+    directions walk the groups in blocks of about 2 MiB of probabilities,
+    each computed into one block's scratch, so with or without a tape the
+    op never holds groups * heads * s^2 floats. The backward keeps q, k^T
+    and v, each an array of its own (k itself is not kept), and rebuilds
+    each block's probabilities from them.
     """
     qkv = _as_tensor(qkv)
     if qkv.ndim != 3 or qkv.data.shape[-1] % (3 * heads):
@@ -505,16 +522,10 @@ def attention(qkv, heads):
     v = np.ascontiguousarray(split[:, :, 2].transpose(0, 2, 1, 3))
     block = max(1, _ATTENTION_BLOCK_FLOATS // (heads * s * s))
     blocks = [slice(lo, lo + block) for lo in range(0, groups, block)]
-    p = np.empty((groups if node is not None else min(block, groups), heads, s, s))
     ctx = np.empty((groups, s, heads, head_dim))
+    scratch = np.empty((min(block, groups), heads, s, s))
     for b in blocks:
-        qb = q[b]
-        pb = p[b] if node is not None else p[: len(qb)]
-        np.matmul(qb, kt[b], out=pb)
-        pb *= scale
-        pb -= pb.max(axis=-1, keepdims=True)
-        np.exp(pb, out=pb)
-        pb /= pb.sum(axis=-1, keepdims=True)
+        pb = _attention_probs(q[b], kt[b], scale, scratch)
         np.matmul(pb, v[b], out=ctx[b].transpose(0, 2, 1, 3))
     data = ctx.reshape(groups, s, width)
 
@@ -523,8 +534,9 @@ def attention(qkv, heads):
         # dq, dk, dv land in qkv's own layout, so the reshape is a view
         dqkv = np.empty((groups, s, 3, heads, head_dim))
         d = dqkv.transpose(2, 0, 3, 1, 4)  # (3, groups, h, s, hd)
+        probs = np.empty((min(block, groups), heads, s, s))
         for b in blocks:
-            pb, gb = p[b], g_ctx[b]
+            pb, gb = _attention_probs(q[b], kt[b], scale, probs), g_ctx[b]
             np.matmul(pb.swapaxes(-1, -2), gb, out=d[2, b])
             dp = gb @ v[b].swapaxes(-1, -2)
             dp -= (dp * pb).sum(axis=-1, keepdims=True)

@@ -398,9 +398,9 @@ def estimate_epoch_seconds(config, n_nodes, n_train, n_val):
 def activation_words(config, n_nodes, batch):
     """8-byte words the graph of one training step over ``batch`` samples
     holds while its loss lives: the arrays its backward closures keep,
-    parameters aside, counted from the geometry (R encoder slots in groups
-    of s). A boolean counts 1/8 word, and the loss itself 1."""
-    tokens, s = sample_geometry(config, n_nodes)
+    parameters aside, counted from the geometry (R encoder slots). A
+    boolean counts 1/8 word, and the loss itself 1."""
+    tokens = sample_geometry(config, n_nodes)[0]
     fold_tokens, features, _ = config.folded_shape(n_nodes)
     w, f = config.width, config.ffn_dim
     r = batch * tokens
@@ -415,8 +415,9 @@ def activation_words(config, n_nodes, batch):
     else:
         words += n_nodes + batch * n_nodes * w  # node index, keep mask
     # per layer: both layer norms' rows and 1/sigma, q, k^T and v, wo's input
-    # rows, the FFN's GELU derivative and hidden rows, and heads * s probabilities
-    words += config.layers * r * (6 * w + 2 + 2 * f + config.heads * s)
+    # rows, and the FFN's GELU derivative and hidden rows (attention's
+    # backward rebuilds its probabilities, so it keeps none)
+    words += config.layers * r * (6 * w + 2 + 2 * f)
     words += r * (w + 2 * f)  # head: input rows, GELU derivative, hidden rows
     return words + errors + included / 8 + 1
 

@@ -334,9 +334,13 @@ def test_9_mask_ratio_trend():
         subgraph_size=4, seed=3, max_epochs=40,
     )
     ratios = (0.0, 0.2, 0.5, 0.8)
-    rows = bench(small, series, [(r, 4) for r in ratios], epochs=3)
-    tokens = [row[3] for row in rows]
-    seconds = [row[6] for row in rows]
+    # the grid runs twice, interleaved (0, 0.2, 0.5, 0.8, 0, 0.2, ...), and
+    # each ratio's fastest epoch over both runs counts, so that one slow
+    # stretch on the host cannot decide the wall-time comparison below
+    rows = bench(small, series, [(r, 4) for r in ratios] * 2, epochs=3)
+    first, second = rows[:len(ratios)], rows[len(ratios):]
+    tokens = [row[3] for row in first]
+    seconds = [min(a[6], b[6]) for a, b in zip(first, second)]
     tokens_ok = all(b <= a for a, b in zip(tokens, tokens[1:]))
     # ties allowed; 10% slack covers timer noise on equal workloads
     seconds_ok = all(b <= a * 1.10 for a, b in zip(seconds, seconds[1:]))

@@ -630,6 +630,34 @@ class TestAttention:
         # maxima (32 KiB) and numpy's ufunc buffer (64 KiB) come on top
         assert peak <= 4 * qkv.nbytes / 3 + block + 2**17, peak
 
+    def test_tape_holds_one_block_of_probabilities(self):
+        # 10 blocks of 32 groups: all the probabilities would be 18.75 MiB
+        groups, s, heads, hd = 300, 64, 2, 4
+        rng = np.random.default_rng(26)
+        qkv = rng.standard_normal((groups, s, 3 * heads * hd))
+        g = rng.standard_normal((groups, s, heads * hd))
+        # an interior parent takes dqkv over without the copy a leaf makes
+        xt = T.mul(Tensor(qkv, requires_grad=True), 1.0)
+        block = T._ATTENTION_BLOCK_FLOATS * 8
+        assert groups * heads * s * s * 8 > 9 * block
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = T.attention(xt, heads)
+            kept = tracemalloc.get_traced_memory()[0] - start
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out._node.backward(g)
+            backward_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the output, q, k^T and v are a third of qkv each; the node, its
+        # closure and the block slices take a few KiB
+        assert kept <= 4 * qkv.nbytes / 3 + 2**13, kept
+        # dqkv plus one block's working set: its probabilities, their
+        # gradient and the product whose row sums the softmax backward takes
+        assert backward_peak <= qkv.nbytes + 3 * block + 2**17, backward_peak
+
     @pytest.mark.parametrize(
         "groups,s,heads,hd", [(2, 3, 2, 2), (1, 1, 2, 3), (3, 4, 1, 4), (2, 5, 3, 2)]
     )
@@ -658,11 +686,17 @@ class TestAttention:
         qkv = np.random.default_rng(20).standard_normal((groups, s, 3 * width))
         out = T.attention(Tensor(qkv, requires_grad=True), heads)
         kept = closure_arrays(out._node)
-        k = qkv[..., width:2 * width].reshape(groups, s, heads, hd).transpose(0, 2, 1, 3)
-        # probabilities, q, k^T and v, each an array of its own
-        assert len(kept) == 4 and all(base_array(a) is a for a in kept)
-        assert any(np.array_equal(a, k.swapaxes(-1, -2)) for a in kept)
+        q, k, v = (qkv[..., i * width:(i + 1) * width].reshape(groups, s, heads, hd)
+                   .transpose(0, 2, 1, 3) for i in range(3))
+        # q, k^T and v, each an array of its own, and no probabilities
+        assert len(kept) == 3 and all(base_array(a) is a for a in kept)
+        assert all(a.size != groups * heads * s * s for a in kept)
+        for want in (q, k.swapaxes(-1, -2), v):
+            assert any(np.array_equal(a, want) for a in kept)
         assert not any(np.array_equal(a, k) for a in kept)
+        # graphwalk reads the closure's own cells, so no array may sit
+        # behind a function the closure holds
+        assert not any(callable(c.cell_contents) for c in out._node.backward.__closure__)
 
 
 class TestOwnedGradients:

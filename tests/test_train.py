@@ -224,22 +224,28 @@ class TestTrainLoop:
 
 
 class TestTrainInferenceConsistency:
-    def test_full_visibility_matches_inference_bitwise(self):
+    # the second size runs attention in 3 blocks of 7, 7 and 2 groups (each
+    # group heads * N^2 = 36864 probabilities) and each GELU chunked
+    # (16 * 96 * 256 elements), where the first runs each in one pass
+    @pytest.mark.parametrize("n, batch_size, overrides", [
+        (6, 4, {}),
+        (96, 16, dict(embed_dim=16, heads=4, ffn_dim=256)),
+    ], ids=["one_block", "three_blocks"])
+    def test_full_visibility_matches_inference_bitwise(self, n, batch_size, overrides):
         rng = np.random.default_rng(0)
-        series = sinusoid_series(seed=9)
-        cfg = tiny_config(mask_ratio=0.0)
+        series = sinusoid_series(n_nodes=n, seed=9)
+        cfg = tiny_config(mask_ratio=0.0, **overrides)
         stats = fit_normalizer(series, 0.6)
         windows, _, _ = make_windows(apply_zscore(series, stats), cfg.t_in, cfg.horizon)
         forecaster = Forecaster.build(cfg, series.node_count, series.frequency, rng)
-        batch = windows[:4]
+        batch = windows[:batch_size]
         inputs = np.stack([w.input for w in batch])
         tod = np.array([w.tod_index for w in batch])
         dow = np.array([w.dow_index for w in batch])
 
         fused = forecaster.fuse(inputs, tod, dow)
-        n = series.node_count
         plans = [
-            V.plan_visibility(n, 0.0, n, np.random.default_rng(k)) for k in range(4)
+            V.plan_visibility(n, 0.0, n, np.random.default_rng(k)) for k in range(len(batch))
         ]
         z0 = V.apply_visibility_batch(fused, plans)
         train_mode = forecaster.encode_and_predict(z0).data
@@ -664,11 +670,12 @@ class TestStepPeak:
 
     def test_backward_excess_bounded(self):
         # 0.75 here, now the forward's peak; 0.75 too over the graph that
-        # kept each layer norm's output, half a unit larger (6.57 units, now
-        # 6.07). It read 1.93 (1.89 at the PEMS04 profile) at the end of a
-        # backward that kept the whole graph, and 2.44 while GELU also kept
-        # its input and cdf and attention kept k and copied its gradient
-        # out of a head-major block.
+        # kept each layer norm's output, half a unit larger (6.57 units,
+        # then 6.07, and 5.88 now that attention keeps no probabilities).
+        # It read 1.93 (1.89 at the PEMS04 profile) at the end of a backward
+        # that kept the whole graph, and 2.44 while GELU also kept its input
+        # and cdf and attention kept k and copied its gradient out of a
+        # head-major block.
         excess = max(self.step_excess(120, 8))
         assert excess <= 2.2, excess
 
@@ -678,7 +685,8 @@ class TestStepPeak:
         # one block each: 2.27 here on top of the whole graph, 5.09 over all
         # 16 groups at once. With the graph released as the walk goes, 0.46:
         # the forward's peak, over the graph with or without the layer
-        # norms' outputs (8.49 and 7.99 units).
+        # norms' outputs (8.49 and 7.99 units), and over the graph without
+        # attention's probabilities (6.12 units).
         excess = max(self.step_excess(120, 16, mask_strategy="all_zero"))
         assert excess <= 2.6, excess
 

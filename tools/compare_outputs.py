@@ -12,9 +12,13 @@ determinism config of the acceptance suite and eight variants of it,
 folding`` and ``bench --mask-ratios 0,0.5 --epochs 1``, the bench once
 as configured and once each with ``--set folding=SF`` and ``--set
 mask_strategy=all_zero``, so that ``act_floats`` is compared for the
-node_level, SF and perturbation graphs. The measured wall-time column
-of the ablate and bench CSVs is dropped before the comparison. Exits 0
-when every output matches, 1 otherwise.
+node_level, SF and perturbation graphs. Last, one full-graph mid-size
+run (its own 96-node series; r=0, s=N, 4 heads, d=16, ffn 256, batch
+16, 2 epochs): ``train`` and ``eval``. It is the one run whose
+attention walks more than one block of groups (3) and whose GELU runs
+chunked, which the 5-node runs never reach. The measured wall-time
+column of the ablate and bench CSVs is dropped before the comparison.
+Exits 0 when every output matches, 1 otherwise.
 
 Standard library only.
 """
@@ -40,6 +44,11 @@ VARIANTS = (
     "max_epochs=0", "patience=1", "layers=2",
 )
 BENCH_VARIANTS = ("folding=SF", "mask_strategy=all_zero")
+FULL_GRAPH_CONFIG = (
+    "dataset = {dataset}\nt_in = 6\nhorizon = 3\nembed_dim = 16\nffn_dim = 256\n"
+    "heads = 4\nbatch_size = 16\nlr = 0.002\nmask_ratio = 0\n"
+    "subgraph_size = 96\nmax_epochs = 2\nseed = 7\n"
+)
 WALL_COLUMNS = {"ablate_folding.csv": "wall_seconds", "bench.csv": "epoch_seconds"}
 
 
@@ -112,6 +121,22 @@ def run_matrix(checkout, work):
         foldcast(checkout, work, "bench", "--config", cfg, "--set", variant,
                  "--mask-ratios", "0,0.5", "--epochs", "1", "--out", out)
         collect(out, f"bench {variant}")
+    out = os.path.join(work, "full_graph")
+    data = os.path.join(out, "series.txt")
+    outputs["full_graph/synth.stdout"] = foldcast(
+        checkout, work, "synth", "--nodes", "96", "--days", "4", "--freq", "24",
+        "--noise", "1.0", "--seed", "5", "--path", data,
+    )
+    cfg = os.path.join(work, "full_graph.cfg")
+    with open(cfg, "w", encoding="utf-8") as fh:
+        fh.write(FULL_GRAPH_CONFIG.format(dataset=data))
+    outputs["full_graph/train.stdout"] = foldcast(
+        checkout, work, "train", "--config", cfg, "--out", out
+    )
+    outputs["full_graph/eval.stdout"] = foldcast(
+        checkout, work, "eval", "--checkpoint", os.path.join(out, "checkpoint.bin"), "--out", out
+    )
+    collect(out, "full_graph")
     return outputs
 
 
