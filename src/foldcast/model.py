@@ -150,13 +150,14 @@ def msa(z, params, layer, heads):
 
 def encoder_forward(z0, params, layers, heads):
     """Pre-norm residual blocks: attention then feed-forward, each applied
-    to the layer-normed input and added back."""
+    to the layer-normed input and added back. Each feed-forward block is
+    one ``norm_ffn`` node."""
     z = z0
     for i in range(layers):
         z = T.add(msa(z, params, i, heads), z)
-        ffn = T.norm_linear_gelu(z, params[f"enc.{i}.ln2.g"], params[f"enc.{i}.ln2.b"],
-                                 params[f"enc.{i}.ffn1"], params[f"enc.{i}.ffn1_b"])
-        ffn = T.linear(ffn, params[f"enc.{i}.ffn2"], params[f"enc.{i}.ffn2_b"])
+        ffn = T.norm_ffn(z, params[f"enc.{i}.ln2.g"], params[f"enc.{i}.ln2.b"],
+                         params[f"enc.{i}.ffn1"], params[f"enc.{i}.ffn1_b"],
+                         params[f"enc.{i}.ffn2"], params[f"enc.{i}.ffn2_b"])
         z = T.add(ffn, z)
     return z
 

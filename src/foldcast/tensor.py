@@ -16,12 +16,16 @@ are bit-identical.
 
 Fused ops keep the tape short: ``linear`` (x @ w + b as one node),
 ``linear_gelu`` (GELU written over that GEMM's own output, so no
-pre-activation sits beside it), ``norm_linear`` and ``norm_linear_gelu``
-(the same after a layer norm, whose output is scratch: the node keeps
-the normalized rows and 1/sigma, and its backward rebuilds the output for
-the weight gradient by the same two ops) and ``attention`` (multi-head
-softmax(QK^T/sqrt(hd))V over a packed qkv tensor, with a hand-written
-backward that keeps q, k^T and v, not the probabilities).
+pre-activation sits beside it), ``norm_linear`` (``linear`` after a
+layer norm, whose output is scratch: the node keeps the normalized rows
+and 1/sigma, and its backward rebuilds the output for the weight
+gradient by the same two ops), ``norm_ffn`` (a pre-norm feed-forward
+block, layer norm, linear, GELU and linear, that keeps the normalized
+rows, 1/sigma and the pre-activation: its backward rebuilds GELU and its
+derivative by the forward's own calls, so it keeps one tokens x ffn
+array, not two) and ``attention`` (multi-head softmax(QK^T/sqrt(hd))V
+over a packed qkv tensor, with a hand-written backward that keeps q, k^T
+and v, not the probabilities).
 
 ``attention`` and GELU work through their input a cache-sized block
 at a time: attention by groups, GELU by elements. Each group or element
@@ -44,9 +48,10 @@ leaf's first gradient when it is a view of another array.
 
 Release: ``backward()`` drops each interior node's gradient, closure and
 parent links as soon as the closure has run, so the graph's arrays are
-freed as the walk goes (``linear`` drops its saved input rows, and a
-``norm_linear`` node its rebuilt layer-norm output, before it allocates
-dx) and a second ``backward()`` through a released node raises.
+freed as the walk goes (``linear`` drops its saved input rows, a
+``norm_linear`` node its rebuilt layer-norm output and a ``norm_ffn``
+node its rebuilt GELU output, before it allocates dx) and a second
+``backward()`` through a released node raises.
 
 ``Tensor(data)`` copies ``data``; an op wraps a raw float64, C-ordered
 array operand without a copy.
@@ -297,23 +302,102 @@ def norm_linear(x, gamma, beta, w, b):
     return _affine(x, w, b, activate=False, norm=(gamma, beta))
 
 
-def norm_linear_gelu(x, gamma, beta, w, b):
-    """``linear_gelu(layer_norm(x, gamma, beta), w, b)`` as one node, bit
-    for bit; it keeps what ``norm_linear`` and ``linear_gelu`` keep."""
-    return _affine(x, w, b, activate=True, norm=(gamma, beta))
+def norm_ffn(x, gamma, beta, w1, b1, w2, b2):
+    """``linear(gelu(linear(layer_norm(x, gamma, beta), w1, b1)), w2, b2)``
+    as one node, bit for bit: a pre-norm feed-forward block.
+
+    The node keeps the normalized rows, 1/sigma and the pre-activation
+    ``a``, never the layer norm's output, GELU's output or its derivative.
+    Its backward rebuilds GELU and the derivative over ``a`` by the
+    forward's own chunks, writes ``a``'s gradient over that output, and
+    rebuilds the norm's output for ``w1``'s gradient, so every gradient
+    keeps the unfused chain's bits for one more GELU pass.
+    """
+    x = _as_tensor(x)
+    gamma, beta = _ln_affine(x, gamma, beta)
+    w1, b1 = _linear_operands(x.data.shape, w1, b1)
+    x_shape = x.data.shape
+    k, f = w1.data.shape
+    w2, b2 = _linear_operands(x_shape[:-1] + (f,), w2, b2)
+    m = w2.data.shape[1]
+    nodes = [_grad_node(t) for t in (x, gamma, beta, w1, b1, w2, b2)]
+    nx, ng, nbeta, nw1, nb1, nw2, nb2 = nodes
+    needs_dx = nx is not None or ng is not None or nbeta is not None
+    # a gradient that crosses GELU reads a, xhat and 1/sigma
+    needs_da = needs_dx or nw1 is not None or nb1 is not None
+    gamma, beta = gamma.data, beta.data
+    xhat, inv = _ln_normalize(x.data)
+    rows = _ln_scale_shift(xhat, gamma, beta, out=None if needs_da else xhat).reshape(-1, k)
+    a = rows @ w1.data
+    del rows
+    a += b1.data
+    # GELU overwrites a unless a backward reads it
+    keep_a = needs_da or nw2 is not None
+    h = np.empty(a.shape) if keep_a else a
+    _gelu_into(a, h, None)
+    data = h @ w2.data
+    del h
+    data += b2.data
+    data = data.reshape(x_shape[:-1] + (m,))
+    if not keep_a:
+        a = None
+    if not needs_da:
+        xhat = inv = None
+    w1_data = w1.data if needs_dx else None
+    w2_data = w2.data if needs_da else None
+
+    def backward(g):
+        # GELU's output and derivative are rebuilt over a; dW2 and db2 read
+        # the output, then a's gradient is written over it
+        nonlocal a
+        lead = tuple(range(g.ndim - 1))
+        g2 = g.reshape(-1, m)
+        deriv = np.empty(a.shape) if needs_da else None
+        if a is not None:
+            _gelu_into(a, a, deriv)
+        if nw2 is not None:
+            _accumulate(nw2, a.T @ g2)
+        if nb2 is not None:
+            _accumulate(nb2, g.sum(axis=lead))
+        if not needs_da:
+            return
+        da = np.matmul(g2, w2_data.T, out=a)
+        a = None
+        da *= deriv
+        del deriv
+        if nw1 is not None:
+            _accumulate(nw1, _ln_scale_shift(xhat, gamma, beta).reshape(-1, k).T @ da)
+        if nb1 is not None:
+            _accumulate(nb1, da.reshape(x_shape[:-1] + (f,)).sum(axis=lead))
+        if needs_dx:
+            dx = (da @ w1_data.T).reshape(x_shape)
+            del da
+            _ln_backward(dx, xhat, inv, gamma, nx, ng, nbeta)
+
+    return _from_op(data, nodes, backward)
+
+
+def _linear_operands(x_shape, w, b):
+    """``w`` and ``b`` as tensors, checked as ``linear``'s weight and bias
+    (or None) for an input of shape ``x_shape``."""
+    w = _as_tensor(w)
+    b = None if b is None else _as_tensor(b)
+    if len(x_shape) < 2 or w.ndim != 2:
+        raise ShapeError(f"linear needs ndim >= 2 input, 2-D weight: {x_shape} @ {w.shape}")
+    k, n = w.data.shape
+    b_shape = None if b is None else b.data.shape
+    if x_shape[-1] != k or b_shape not in (None, (n,)):
+        raise ShapeError(f"linear shapes disagree: {x_shape} @ {w.shape} + {b_shape}")
+    return w, b
 
 
 def _affine(x, w, b, activate, norm=None):
-    """``linear``, followed in place by GELU when ``activate``; with
-    ``norm = (gamma, beta)``, ``linear`` of ``layer_norm(x, gamma, beta)``."""
-    x, w = _as_tensor(x), _as_tensor(w)
-    b = None if b is None else _as_tensor(b)
-    if x.ndim < 2 or w.ndim != 2:
-        raise ShapeError(f"linear needs ndim >= 2 input, 2-D weight: {x.shape} @ {w.shape}")
+    """``linear``, followed in place by GELU when ``activate``; or, with
+    ``norm = (gamma, beta)`` and no GELU, ``linear`` of
+    ``layer_norm(x, gamma, beta)``."""
+    x = _as_tensor(x)
+    w, b = _linear_operands(x.data.shape, w, b)
     k, n = w.data.shape
-    b_shape = None if b is None else b.data.shape
-    if x.data.shape[-1] != k or b_shape not in (None, (n,)):
-        raise ShapeError(f"linear shapes disagree: {x.shape} @ {w.shape} + {b_shape}")
     nx, nw = _grad_node(x), _grad_node(w)
     nb = None if b is None else _grad_node(b)
     gamma = beta = ng = nbeta = xhat = inv = None
@@ -569,7 +653,7 @@ def layer_norm(x, gamma, beta):
 
 
 # The layer-norm formulas, shared by ``layer_norm`` and the fused
-# ``norm_linear`` nodes so that both compute the same bits.
+# ``norm_linear`` and ``norm_ffn`` nodes so that all compute the same bits.
 
 
 def _ln_affine(x, gamma, beta):
@@ -662,7 +746,7 @@ def gelu(x):
 
     When ``x`` needs a gradient the forward also computes the derivative
     Phi(x) + x * phi(x), the one array the backward keeps. Both come from
-    ``_gelu_into``, which ``linear_gelu`` shares.
+    ``_gelu_into``, which ``linear_gelu`` and ``norm_ffn`` share.
     """
     x = _as_tensor(x)
     node = _grad_node(x)

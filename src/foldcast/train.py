@@ -415,9 +415,9 @@ def activation_words(config, n_nodes, batch):
     else:
         words += n_nodes + batch * n_nodes * w  # node index, keep mask
     # per layer: both layer norms' rows and 1/sigma, q, k^T and v, wo's input
-    # rows, and the FFN's GELU derivative and hidden rows (attention's
-    # backward rebuilds its probabilities, so it keeps none)
-    words += config.layers * r * (6 * w + 2 + 2 * f)
+    # rows, and the FFN's pre-activation (attention's backward rebuilds its
+    # probabilities and the FFN's its GELU output and derivative)
+    words += config.layers * r * (6 * w + 2 + f)
     words += r * (w + 2 * f)  # head: input rows, GELU derivative, hidden rows
     return words + errors + included / 8 + 1
 

@@ -1,6 +1,7 @@
 """Checkpoint round trips, corruption handling and atomic saves."""
 import contextlib
 import os
+import stat
 import struct
 import tracemalloc
 
@@ -187,3 +188,26 @@ class TestAtomicSave:
         for name, t in small_params(seed=2).items():
             assert np.array_equal(fresh[name].data, t.data), name
         assert os.listdir(tmp_path) == ["checkpoint.bin"]
+
+    def test_save_flushes_the_directory_after_the_rename(self, tmp_path, monkeypatch):
+        # without the directory's fsync a power loss can undo the rename
+        path = tmp_path / "checkpoint.bin"
+        events = []
+        real_replace, real_fsync = os.replace, os.fsync
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            events.append(("replace", os.fspath(dst)))
+
+        def fsync(fd):
+            real_fsync(fd)
+            st = os.fstat(fd)
+            events.append(("fsync", stat.S_ISDIR(st.st_mode), st.st_ino))
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "fsync", fsync)
+        save_checkpoint(small_params(seed=1), path)
+        monkeypatch.undo()
+        directory = ("fsync", True, os.stat(tmp_path).st_ino)
+        assert events[-2:] == [("replace", os.fspath(path)), directory]
+        assert events[0][:2] == ("fsync", False)  # the file's own data first

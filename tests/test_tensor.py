@@ -346,16 +346,14 @@ class TestLinearGelu:
             assert arrays * out_bytes <= peak < (arrays + 0.5) * out_bytes, requires_grad
 
 
-def norm_oracle(fused):
+def norm_oracle(x, gamma, beta, w, b):
     """The unfused chain a ``norm_linear`` node stands for."""
-    after = {T.norm_linear: T.linear, T.norm_linear_gelu: T.linear_gelu}[fused]
-    return lambda x, gamma, beta, w, b: after(T.layer_norm(x, gamma, beta), w, b)
+    return T.linear(T.layer_norm(x, gamma, beta), w, b)
 
 
 class TestNormLinear:
-    OPS = {"norm_linear": T.norm_linear, "norm_linear_gelu": T.norm_linear_gelu}
-    # (x, w) shapes: 150 x 64 outputs take GELU's one scipy pass, 1204 x
-    # 131 (over 2**17) its chunks
+    OPS = {"norm_linear": T.norm_linear}
+    # (x, w) shapes: 150 x 64 and 1204 x 131 outputs
     SHAPES = TestLinearGelu.SHAPES
     # every subset of (x, gamma, beta, w, b) that needs a gradient; the
     # empty one is a forward without a tape, as under ``no_grad``
@@ -375,6 +373,17 @@ class TestNormLinear:
             proj_loss(out, proj).backward()
         return out, [t.grad for t in tensors]
 
+    @classmethod
+    def assert_matches(cls, fused, oracle, values, grads, proj):
+        out, got = cls.run(fused, values, grads, proj)
+        want_out, want = cls.run(oracle, values, grads, proj)
+        assert out.data.tobytes() == want_out.data.tobytes(), grads
+        assert out.requires_grad == any(grads) and (out._node is None) == (not any(grads))
+        for g, wg, needed in zip(got, want, grads):
+            assert (g is not None) == needed and (wg is not None) == needed, grads
+            if needed:
+                assert g.tobytes() == wg.tobytes(), grads
+
     @pytest.mark.parametrize("op", OPS)
     @pytest.mark.parametrize("size", SHAPES)
     def test_matches_layer_norm_then_linear_bit_for_bit(self, op, size):
@@ -382,43 +391,17 @@ class TestNormLinear:
         rng = np.random.default_rng(34)
         values = self.values(rng, x_shape, w_shape)
         proj = rng.standard_normal(x_shape[:-1] + w_shape[1:])
-        fused = self.OPS[op]
         for grads in self.GRADS:
-            out, got = self.run(fused, values, grads, proj)
-            want_out, want = self.run(norm_oracle(fused), values, grads, proj)
-            assert out.data.tobytes() == want_out.data.tobytes(), grads
-            assert out.requires_grad == any(grads) and (out._node is None) == (not any(grads))
-            for g, wg, needed in zip(got, want, grads):
-                assert (g is not None) == needed and (wg is not None) == needed, grads
-                if needed:
-                    assert g.tobytes() == wg.tobytes(), grads
+            self.assert_matches(self.OPS[op], norm_oracle, values, grads, proj)
 
     @pytest.mark.parametrize("op", OPS)
     def test_grads_match_fd(self, op):
-        from scipy.special import erf
-
         rng = np.random.default_rng(35)
         values = self.values(rng, (2, 3, 4), (4, 5))
         proj = rng.standard_normal((2, 3, 5))
         _, grads = self.run(self.OPS[op], values, (True,) * 5, proj)
-
-        def f(args):
-            x, gamma, beta, w, b = args
-            mu = x.mean(axis=-1, keepdims=True)
-            var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-            h = ((x - mu) / np.sqrt(var + 1e-5) * gamma + beta) @ w + b
-            if op == "norm_linear_gelu":
-                h = h * 0.5 * (1 + erf(h / np.sqrt(2)))
-            return float((h * proj).sum())
-
-        for i, g in enumerate(grads):
-
-            def fi(v, i=i):
-                args = list(values)
-                args[i] = v
-                return f(args)
-
-            assert max_rel_err(g, central_diff(fi, values[i])) < 1e-5, i
+        assert_grads_match_fd(grads, values, lambda x, gamma, beta, w, b: (
+            (layer_norm_formula(x) * gamma + beta) @ w + b) * proj)
 
     @pytest.mark.parametrize("op", OPS)
     def test_keeps_the_normalized_rows_not_the_norms_output(self, op):
@@ -429,6 +412,94 @@ class TestNormLinear:
         xhat = T.layer_norm(values[0], np.ones(16), np.zeros(16)).data
         kept = [a for a in closure_arrays(out._node) if a.shape == xhat.shape]
         assert len(kept) == 1 and np.array_equal(kept[0], xhat)
+
+
+def layer_norm_formula(x):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + 1e-5)
+
+
+def gelu_formula(h):
+    from scipy.special import erf
+
+    return h * 0.5 * (1 + erf(h / np.sqrt(2)))
+
+
+def assert_grads_match_fd(grads, values, terms):
+    """Each of ``grads`` against central differences of ``terms(*values).sum()``."""
+    for i, g in enumerate(grads):
+
+        def f(v, i=i):
+            args = list(values)
+            args[i] = v
+            return float(terms(*args).sum())
+
+        assert max_rel_err(g, central_diff(f, values[i])) < 1e-5, i
+
+
+def ffn_oracle(x, gamma, beta, w1, b1, w2, b2):
+    """The unfused chain a ``norm_ffn`` node stands for."""
+    return T.linear(T.gelu(T.linear(T.layer_norm(x, gamma, beta), w1, b1)), w2, b2)
+
+
+class TestNormFFN:
+    # (x, w1) shapes: 150 x 64 pre-activations take GELU's one scipy pass,
+    # 1204 x 131 (over 2**17) its chunks
+    SHAPES = TestLinearGelu.SHAPES
+    # every subset of (x, gamma, beta, w1, b1, w2, b2) that needs a
+    # gradient; the empty one is a forward without a tape
+    GRADS = [tuple(bool(mask >> i & 1) for i in range(7)) for mask in range(128)]
+    run = staticmethod(TestNormLinear.run)
+
+    @staticmethod
+    def values(rng, x_shape, w_shape, m=12):
+        f = w_shape[1]
+        return TestNormLinear.values(rng, x_shape, w_shape) + [
+            rng.standard_normal((f, m)) / np.sqrt(f), rng.standard_normal(m)]
+
+    @pytest.mark.parametrize("size", SHAPES)
+    def test_matches_the_unfused_chain_bit_for_bit(self, size):
+        x_shape, w_shape = self.SHAPES[size]
+        rng = np.random.default_rng(37)
+        values = self.values(rng, x_shape, w_shape)
+        proj = rng.standard_normal(x_shape[:-1] + (12,))
+        for grads in self.GRADS:
+            TestNormLinear.assert_matches(T.norm_ffn, ffn_oracle, values, grads, proj)
+
+    def test_grads_match_fd(self):
+        rng = np.random.default_rng(38)
+        values = self.values(rng, (2, 3, 4), (4, 5), m=3)
+        proj = rng.standard_normal((2, 3, 3))
+        _, grads = self.run(T.norm_ffn, values, (True,) * 7, proj)
+        assert_grads_match_fd(grads, values, lambda x, gamma, beta, w1, b1, w2, b2: (
+            gelu_formula((layer_norm_formula(x) * gamma + beta) @ w1 + b1) @ w2 + b2) * proj)
+
+    def test_keeps_normalized_rows_inverse_sigma_and_pre_activation(self):
+        # never the norm's output, GELU's output or its derivative
+        rng = np.random.default_rng(39)
+        values = self.values(rng, (3, 50, 16), (16, 64))
+        tensors = [Tensor(v, requires_grad=True) for v in values]
+        out = T.norm_ffn(*tensors)
+        kept = [a for a in closure_arrays(out._node)
+                if not any(a is t.data for t in tensors)]
+        assert sorted(a.shape for a in kept) == [(3, 50, 1), (3, 50, 16), (150, 64)]
+        by_shape = {a.shape: a for a in kept}
+        xhat = T.layer_norm(values[0], np.ones(16), np.zeros(16)).data
+        pre = T.linear(T.layer_norm(*values[:3]), *values[3:5]).data.reshape(150, 64)
+        assert np.array_equal(by_shape[xhat.shape], xhat)
+        assert by_shape[pre.shape].tobytes() == pre.tobytes()
+
+    def test_second_backward_raises(self):
+        rng = np.random.default_rng(40)
+        values = self.values(rng, (3, 50, 16), (16, 64))
+        tensors = [Tensor(v, requires_grad=True) for v in values]
+        loss = proj_loss(T.norm_ffn(*tensors), rng.standard_normal((3, 50, 12)))
+        loss.backward()
+        grads = [t.grad.copy() for t in tensors]
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        assert all(t.grad.tobytes() == g.tobytes() for t, g in zip(tensors, grads))
 
 
 class TestConcat:

@@ -484,8 +484,8 @@ class TestGraphRelease:
         # the projections GELU follows
         gelu_weights = {id(forecaster.params[f"enc.{i}.ffn1"]) for i in range(cfg.layers)}
         gelu_weights.add(id(forecaster.params["head.0"]))
-        buffers = {"qkv": [], "preact": [], "gelu_out": [], "residual": [], "fused": [],
-                   "gathered": [], "ln_out": []}
+        buffers = {"qkv": [], "preact": [], "ffn": [], "gelu_out": [], "residual": [],
+                   "fused": [], "gathered": [], "ln_out": []}
 
         def spy(op, kind, picks=lambda args: True):
             real = getattr(T, op)
@@ -500,7 +500,7 @@ class TestGraphRelease:
 
         spy("norm_linear", "qkv", lambda args: id(args[3]) in qkv_weights)
         spy("linear", "preact", lambda args: id(args[1]) in gelu_weights)
-        spy("norm_linear_gelu", "gelu_out")
+        spy("norm_ffn", "ffn")
         spy("linear_gelu", "gelu_out")
         spy("layer_norm", "ln_out")
         spy("add", "residual")  # node-level training adds only the residuals
@@ -528,18 +528,22 @@ class TestGraphRelease:
         tod, dow = rng.integers(0, 24, batch), rng.integers(0, 7, batch)
         loss, _ = training_forward(forecaster, inputs, targets, tod, dow, rng)
         monkeypatch.undo()
-        assert [len(refs) for refs in buffers.values()] == [2, 0, 3, 4, 1, 1, 4]
-        # GELU wrote over its GEMM's output, the buffer the fused node
-        # returns, so no pre-activation buffer of its own ever existed
-        assert [in_place for in_place, _ in gelu_passes] == [True] * 3
-        assert all(written() is not None and written() is out()
-                   for (_, written), out in zip(gelu_passes, buffers["gelu_out"]))
+        assert [len(refs) for refs in buffers.values()] == [2, 0, 2, 1, 4, 1, 1, 4]
+        # each encoder FFN wrote GELU beside its pre-activation, which its
+        # backward reads; the head wrote over its GEMM's output, the buffer
+        # the fused node returns, so no pre-activation of its own existed
+        assert [in_place for in_place, _ in gelu_passes] == [False, False, True]
+        head_pass = gelu_passes[-1][1]
+        assert head_pass() is not None and head_pass() is buffers["gelu_out"][0]()
+        # the encoder's GELU outputs are gone: its backward rebuilds them
+        assert [written() for _, written in gelu_passes[:-1]] == [None, None]
         alive = {kind: [i for i, ref in enumerate(refs) if ref() is not None]
                  for kind, refs in buffers.items()}
         # the last residual sum is the head's input, read by its weight
-        # gradient; each GELU output is the input of the next projection; a
-        # layer norm's output is rebuilt from its normalized rows, not kept
-        assert alive == {"qkv": [], "preact": [], "gelu_out": [0, 1, 2], "residual": [3],
+        # gradient; the head's GELU output is the input of its second
+        # projection; a layer norm's output is rebuilt from its normalized
+        # rows, not kept
+        assert alive == {"qkv": [], "preact": [], "ffn": [], "gelu_out": [0], "residual": [3],
                          "fused": [], "gathered": [], "ln_out": []}
         loss.backward()
         assert all(g is not None for g in forecaster.params.grads().values())
@@ -690,8 +694,10 @@ class TestStepPeak:
         excess = max(self.step_excess(120, 16, mask_strategy="all_zero"))
         assert excess <= 2.6, excess
 
-    @pytest.mark.parametrize("strategy, batch", [("node_level", 8), ("all_zero", 16)])
-    def test_released_backward_stays_under_the_forward_peak(self, strategy, batch):
+    @pytest.mark.parametrize("strategy, batch, layers",
+                             [("node_level", 8, 1), ("all_zero", 16, 1), ("node_level", 8, 2)],
+                             ids=["node_level-8", "all_zero-16", "node_level-8-two_layers"])
+    def test_released_backward_stays_under_the_forward_peak(self, strategy, batch, layers):
         # The released backward reads 0.10 here under both strategies: each
         # closure's arrays go as it runs. The forward reads 0.75 (node_level)
         # and 0.46 (all_zero): in-place GELU's scratch is at most half an
@@ -699,7 +705,9 @@ class TestStepPeak:
         # scratch too, a quarter of a unit here, freed before GELU's. The
         # full-graph fused tokens, kept through the encoder, lifted them to
         # 1.06 and 0.71; with GELU taking a separate GEMM output as well, to
-        # 1.94 and 1.63.
-        forward, backward = self.step_excess(120, batch, mask_strategy=strategy)
+        # 1.94 and 1.63. With two layers the node_level step reads 0.75 and
+        # 0.10 too: each FFN's rebuilt GELU output and derivative go before
+        # the walk reaches the layer below.
+        forward, backward = self.step_excess(120, batch, mask_strategy=strategy, layers=layers)
         assert backward <= forward, (forward, backward)
         assert forward < {"node_level": 0.9, "all_zero": 0.6}[strategy], forward
