@@ -138,14 +138,13 @@ def msa(z, params, layer, heads):
     """The pre-norm attention sublayer: layer norm ``ln1``, then multi-head
     self-attention within each leading-axis group.
 
-    The norm and the qkv projection are one node. Scores are scaled by
-    sqrt(width / heads); heads are concatenated and passed through the
-    output projection.
+    The norm, the qkv projection, attention and the output projection are
+    one ``norm_attention`` node. Scores are divided by sqrt(width / heads);
+    heads are concatenated and passed through the output projection.
     """
-    qkv = T.norm_linear(z, params[f"enc.{layer}.ln1.g"], params[f"enc.{layer}.ln1.b"],
-                        params[f"enc.{layer}.qkv"], params[f"enc.{layer}.qkv_b"])
-    ctx = T.attention(qkv, heads)
-    return T.linear(ctx, params[f"enc.{layer}.wo"], params[f"enc.{layer}.wo_b"])
+    return T.norm_attention(z, params[f"enc.{layer}.ln1.g"], params[f"enc.{layer}.ln1.b"],
+                            params[f"enc.{layer}.qkv"], params[f"enc.{layer}.qkv_b"],
+                            params[f"enc.{layer}.wo"], params[f"enc.{layer}.wo_b"], heads)
 
 
 def encoder_forward(z0, params, layers, heads):

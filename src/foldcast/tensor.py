@@ -16,23 +16,25 @@ are bit-identical.
 
 Fused ops keep the tape short: ``linear`` (x @ w + b as one node),
 ``linear_gelu`` (GELU written over that GEMM's own output, so no
-pre-activation sits beside it), ``norm_linear`` (``linear`` after a
-layer norm, whose output is scratch: the node keeps the normalized rows
-and 1/sigma, and its backward rebuilds the output for the weight
-gradient by the same two ops), ``norm_ffn`` (a pre-norm feed-forward
-block, layer norm, linear, GELU and linear, that keeps the normalized
-rows, 1/sigma and the pre-activation: its backward rebuilds GELU and its
-derivative by the forward's own calls, so it keeps one tokens x ffn
-array, not two) and ``attention`` (multi-head softmax(QK^T/sqrt(hd))V
-over a packed qkv tensor, with a hand-written backward that keeps q, k^T
-and v, not the probabilities).
+pre-activation sits beside it), ``norm_attention`` (a pre-norm attention
+sublayer, layer norm, qkv projection, attention and output projection,
+that keeps the normalized rows and 1/sigma: its backward rebuilds the
+norm's output, q, k^T and v by the forward's own calls, and the context
+from the probabilities it rebuilds anyway, so it keeps one tokens x width
+array, not five), ``norm_ffn`` (a pre-norm feed-forward block, layer
+norm, linear, GELU and linear, that keeps the normalized rows, 1/sigma
+and the pre-activation: its backward rebuilds GELU and its derivative by
+the forward's own calls, so it keeps one tokens x ffn array, not two) and
+``attention`` (multi-head softmax(QK^T/sqrt(hd))V over a packed qkv
+tensor, with a hand-written backward that keeps q, k^T and v, not the
+probabilities; the unfused form of ``norm_attention``'s core).
 
-``attention`` and GELU work through their input a cache-sized block
-at a time: attention by groups, GELU by elements. Each group or element
-goes through the operations of one whole-array pass in the same order,
-so blocking changes no bit (a NaN's sign aside). Attention's
-probabilities live one block at a time, in scratch: its backward
-recomputes each block's by the forward's own calls, as in the
+``attention``, ``norm_attention`` and GELU work through their input a
+cache-sized block at a time: attention by groups, GELU by elements. Each
+group or element goes through the operations of one whole-array pass in
+the same order, so blocking changes no bit (a NaN's sign aside).
+Attention's probabilities live one block at a time, in scratch: its
+backward recomputes each block's by the forward's own calls, as in the
 FlashAttention backward, so a graph holds no groups * heads * s^2
 array. GELU's erf is scipy's bit for bit: on a large input, cephes'
 rational in numpy where |x / sqrt(2)| <= 1 and scipy itself elsewhere.
@@ -49,9 +51,9 @@ leaf's first gradient when it is a view of another array.
 Release: ``backward()`` drops each interior node's gradient, closure and
 parent links as soon as the closure has run, so the graph's arrays are
 freed as the walk goes (``linear`` drops its saved input rows, a
-``norm_linear`` node its rebuilt layer-norm output and a ``norm_ffn``
-node its rebuilt GELU output, before it allocates dx) and a second
-``backward()`` through a released node raises.
+``norm_attention`` node its rebuilt q, k^T, v and context and a
+``norm_ffn`` node its rebuilt GELU output, before it allocates dx) and a
+second ``backward()`` through a released node raises.
 
 ``Tensor(data)`` copies ``data``; an op wraps a raw float64, C-ordered
 array operand without a copy.
@@ -292,14 +294,90 @@ def linear_gelu(x, w, b):
     return _affine(x, w, b, activate=True)
 
 
-def norm_linear(x, gamma, beta, w, b):
-    """``linear(layer_norm(x, gamma, beta), w, b)`` as one node, bit for bit.
+def norm_attention(x, gamma, beta, w_qkv, b_qkv, w_o, b_o, heads):
+    """``linear(attention(linear(layer_norm(x, gamma, beta), w_qkv, b_qkv),
+    heads), w_o, b_o)`` as one node, bit for bit: a pre-norm attention
+    sublayer over (groups, s, w) input.
 
-    The node keeps the normalized rows and 1/sigma, never the layer
-    norm's output: the GEMM reads that from a scratch buffer, and the
-    backward rebuilds it, by the same two ops, for the weight gradient.
+    The node keeps the normalized rows and 1/sigma, never the layer norm's
+    output, q, k^T, v or the context. Its backward rebuilds q, k^T and v by
+    the forward's own calls, then the context block by block from the
+    probabilities it rebuilds for attention's gradient, and the norm's
+    output once more for ``w_qkv``'s gradient, so every gradient keeps the
+    unfused chain's bits for one more qkv GEMM.
     """
-    return _affine(x, w, b, activate=False, norm=(gamma, beta))
+    x = _as_tensor(x)
+    gamma, beta = _ln_affine(x, gamma, beta)
+    w_qkv, b_qkv = _linear_operands(x.data.shape, w_qkv, b_qkv)
+    x_shape = x.data.shape
+    if x.ndim != 3 or w_qkv.data.shape[1] % (3 * heads):
+        raise ShapeError(f"attention needs (groups, s, k) @ (k, 3 * heads * hd), "
+                         f"got {x.shape} @ {w_qkv.shape}")
+    groups, s, k = x_shape
+    width = w_qkv.data.shape[1] // 3
+    w_o, b_o = _linear_operands((groups, s, width), w_o, b_o)
+    m = w_o.data.shape[1]
+    nodes = [_grad_node(t) for t in (x, gamma, beta, w_qkv, b_qkv, w_o, b_o)]
+    nx, ng, nbeta, nwq, nbq, nwo, nbo = nodes
+    needs_dx = nx is not None or ng is not None or nbeta is not None
+    # a gradient that crosses attention reads q, k^T and v; wo's, the context
+    needs_dqkv = needs_dx or nwq is not None or nbq is not None
+    rebuild = needs_dqkv or nwo is not None
+    gamma, beta = gamma.data, beta.data
+    w_qkv, b_qkv, w_o, b_o = w_qkv.data, b_qkv.data, w_o.data, b_o.data
+    xhat, inv = _ln_normalize(x.data)
+    # with no rebuild nothing reads xhat again, so the norm's output overwrites it
+    q, kt, v = _norm_qkv(xhat, gamma, beta, w_qkv, b_qkv, heads, out=None if rebuild else xhat)
+    ctx = np.empty((groups, s, width))
+    _attention_blocks(q, kt, v, ctx)
+    q = kt = v = None
+    data = ctx.reshape(-1, width) @ w_o
+    ctx = None
+    data += b_o
+    data = data.reshape(groups, s, m)
+    if not rebuild:
+        xhat = inv = None
+
+    def backward(g):
+        # the context is rebuilt beside attention's gradient, so the
+        # probabilities are built once per block; q, k^T, v and the context
+        # go before the norm's output is rebuilt for dW_qkv
+        g2 = g.reshape(-1, m)
+        if nbo is not None:
+            _accumulate(nbo, g.sum(axis=(0, 1)))
+        if not rebuild:
+            return
+        q, kt, v = _norm_qkv(xhat, gamma, beta, w_qkv, b_qkv, heads)
+        g_ctx = (g2 @ w_o.T).reshape(groups, s, width) if needs_dqkv else None
+        ctx = np.empty((groups, s, width))
+        dqkv = _attention_blocks(q, kt, v, ctx, g_ctx)
+        q = kt = v = g_ctx = None
+        if nwo is not None:
+            _accumulate(nwo, ctx.reshape(-1, width).T @ g2)
+        ctx = None
+        if not needs_dqkv:
+            return
+        d2 = dqkv.reshape(-1, 3 * width)
+        if nwq is not None:
+            _accumulate(nwq, _ln_scale_shift(xhat, gamma, beta).reshape(-1, k).T @ d2)
+        if nbq is not None:
+            _accumulate(nbq, dqkv.sum(axis=(0, 1)))
+        if needs_dx:
+            dx = (d2 @ w_qkv.T).reshape(x_shape)
+            dqkv = d2 = None
+            _ln_backward(dx, xhat, inv, gamma, nx, ng, nbeta)
+
+    return _from_op(data, nodes, backward)
+
+
+def _norm_qkv(xhat, gamma, beta, w, b, heads, out=None):
+    """q, k^T and v (``_attention_heads``) of the qkv projection of the
+    layer norm's output, which is written into a new array or ``out``."""
+    rows = _ln_scale_shift(xhat, gamma, beta, out=out).reshape(-1, xhat.shape[-1])
+    qkv = rows @ w
+    del rows
+    qkv += b
+    return _attention_heads(qkv.reshape(xhat.shape[:-1] + (w.shape[1],)), heads)
 
 
 def norm_ffn(x, gamma, beta, w1, b1, w2, b2):
@@ -391,40 +469,26 @@ def _linear_operands(x_shape, w, b):
     return w, b
 
 
-def _affine(x, w, b, activate, norm=None):
-    """``linear``, followed in place by GELU when ``activate``; or, with
-    ``norm = (gamma, beta)`` and no GELU, ``linear`` of
-    ``layer_norm(x, gamma, beta)``."""
+def _affine(x, w, b, activate):
+    """``linear``, followed in place by GELU when ``activate``."""
     x = _as_tensor(x)
     w, b = _linear_operands(x.data.shape, w, b)
     k, n = w.data.shape
     nx, nw = _grad_node(x), _grad_node(w)
     nb = None if b is None else _grad_node(b)
-    gamma = beta = ng = nbeta = xhat = inv = None
-    if norm is not None:
-        gamma, beta = _ln_affine(x, *norm)
-        ng, nbeta = _grad_node(gamma), _grad_node(beta)
-        gamma, beta = gamma.data, beta.data
-    taped = any(node is not None for node in (nx, nw, nb, ng, nbeta))
     x_shape = x.data.shape
-    if norm is None:
-        rows = x.data if x.ndim == 2 else np.ascontiguousarray(x.data).reshape(-1, k)
-    else:
-        xhat, inv = _ln_normalize(x.data)
-        # with no tape nothing reads xhat again, so the output overwrites it
-        rows = _ln_scale_shift(xhat, gamma, beta, out=None if taped else xhat).reshape(-1, k)
+    rows = x.data if x.ndim == 2 else np.ascontiguousarray(x.data).reshape(-1, k)
     data = rows @ w.data
-    # a layer norm's output is rebuilt for the weight gradient, not kept
-    x_rows = rows if nw is not None and norm is None else None
+    x_rows = rows if nw is not None else None
     del rows
     if b is not None:
         data += b.data
     data = data.reshape(x_shape[:-1] + (n,))
+    taped = any(node is not None for node in (nx, nw, nb))
     deriv = np.empty(data.shape) if activate and taped else None
     if activate:
         _gelu_into(data, data, deriv)
-    needs_dx = nx is not None or ng is not None or nbeta is not None
-    w_data = w.data if needs_dx else None
+    w_data = w.data if nx is not None else None
 
     def backward(g):
         # dW and db first, then the saved input rows and the GELU
@@ -434,20 +498,14 @@ def _affine(x, w, b, activate, norm=None):
             g *= deriv
         g2 = g.reshape(-1, n)
         if nw is not None:
-            if x_rows is None:
-                x_rows = _ln_scale_shift(xhat, gamma, beta).reshape(-1, k)
             _accumulate(nw, x_rows.T @ g2)
         if nb is not None:
             _accumulate(nb, g.sum(axis=tuple(range(g.ndim - 1))))
         deriv = x_rows = None
-        if needs_dx:
-            dx = (g2 @ w_data.T).reshape(x_shape)
-            if norm is None:
-                _accumulate(nx, dx)
-            else:
-                _ln_backward(dx, xhat, inv, gamma, nx, ng, nbeta)
+        if nx is not None:
+            _accumulate(nx, (g2 @ w_data.T).reshape(x_shape))
 
-    return _from_op(data, (nx, nw, nb, ng, nbeta), backward)
+    return _from_op(data, (nx, nw, nb), backward)
 
 
 def tsum(t):
@@ -566,71 +624,84 @@ def softmax_lastdim(x):
 _ATTENTION_BLOCK_FLOATS = 2**18
 
 
-def _attention_probs(q, kt, scale, scratch):
-    """softmax(q k^T * scale) for one block of groups, written into the
-    first ``len(q)`` groups of ``scratch``. Forward and backward both call
-    it, so the backward rebuilds the forward's probabilities bit for bit."""
-    p = scratch[: len(q)]
-    np.matmul(q, kt, out=p)
-    p *= scale
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
-
-
 def attention(qkv, heads):
     """Multi-head self-attention over packed projections, as one node.
 
     ``qkv`` is (groups, s, 3w): queries, keys and values side by side, each
     split into ``heads`` heads of width hd = w / heads. Returns the
     (groups, s, w) merged-head context softmax(Q K^T / sqrt(hd)) V. Both
-    directions walk the groups in blocks of about 2 MiB of probabilities,
-    each computed into one block's scratch, so with or without a tape the
-    op never holds groups * heads * s^2 floats. The backward keeps q, k^T
-    and v, each an array of its own (k itself is not kept), and rebuilds
-    each block's probabilities from them.
+    directions walk the groups in blocks of about 2 MiB of probabilities
+    (``_attention_blocks``), so with or without a tape the op never holds
+    groups * heads * s^2 floats. The backward keeps q, k^T and v, each an
+    array of its own (k itself is not kept), and rebuilds each block's
+    probabilities from them.
     """
     qkv = _as_tensor(qkv)
     if qkv.ndim != 3 or qkv.data.shape[-1] % (3 * heads):
         raise ShapeError(f"attention needs (groups, s, 3 * heads * hd), got {qkv.shape}")
     node = _grad_node(qkv)
     groups, s, three_w = qkv.data.shape
-    width = three_w // 3
-    head_dim = width // heads
-    scale = 1.0 / np.sqrt(head_dim)
-    split = qkv.data.reshape(groups, s, 3, heads, head_dim)
-    # q and v are (groups, h, s, hd), kt is (groups, h, hd, s)
+    q, kt, v = _attention_heads(qkv.data, heads)
+    ctx = np.empty((groups, s, three_w // 3))
+    _attention_blocks(q, kt, v, ctx)
+
+    def backward(g):
+        _accumulate(node, _attention_blocks(q, kt, v, None, g))
+
+    return _from_op(ctx, (node,), backward)
+
+
+def _attention_heads(qkv, heads):
+    """q, k^T and v of a packed (groups, s, 3w) array, each an array of its
+    own: q and v (groups, h, s, hd), k^T (groups, h, hd, s)."""
+    groups, s, three_w = qkv.shape
+    split = qkv.reshape(groups, s, 3, heads, three_w // (3 * heads))
     q = np.ascontiguousarray(split[:, :, 0].transpose(0, 2, 1, 3))
     kt = np.ascontiguousarray(split[:, :, 1].transpose(0, 2, 3, 1))
     v = np.ascontiguousarray(split[:, :, 2].transpose(0, 2, 1, 3))
+    return q, kt, v
+
+
+def _attention_blocks(q, kt, v, ctx, g=None):
+    """Walk attention's groups a block at a time. Each block's
+    probabilities softmax(q k^T / sqrt(hd)) are built once, in one block's
+    scratch, by the same calls in every direction, so a backward rebuilds
+    the forward's bits. Unless ``ctx`` is None, P v goes into ``ctx``, the
+    (groups, s, w) merged-head context. Given the context's gradient ``g``
+    (groups, s, w), returns the gradient of the packed (groups, s, 3w)
+    qkv."""
+    groups, heads, s, hd = q.shape
+    scale = 1.0 / np.sqrt(hd)
     block = max(1, _ATTENTION_BLOCK_FLOATS // (heads * s * s))
-    blocks = [slice(lo, lo + block) for lo in range(0, groups, block)]
-    ctx = np.empty((groups, s, heads, head_dim))
-    scratch = np.empty((min(block, groups), heads, s, s))
-    for b in blocks:
-        pb = _attention_probs(q[b], kt[b], scale, scratch)
-        np.matmul(pb, v[b], out=ctx[b].transpose(0, 2, 1, 3))
-    data = ctx.reshape(groups, s, width)
-
-    def backward(g):
-        g_ctx = g.reshape(groups, s, heads, head_dim).transpose(0, 2, 1, 3)
+    if ctx is not None:
+        ctx = ctx.reshape(groups, s, heads, hd)
+    if g is not None:
+        g = g.reshape(groups, s, heads, hd).transpose(0, 2, 1, 3)
         # dq, dk, dv land in qkv's own layout, so the reshape is a view
-        dqkv = np.empty((groups, s, 3, heads, head_dim))
+        dqkv = np.empty((groups, s, 3, heads, hd))
         d = dqkv.transpose(2, 0, 3, 1, 4)  # (3, groups, h, s, hd)
-        probs = np.empty((min(block, groups), heads, s, s))
-        for b in blocks:
-            pb, gb = _attention_probs(q[b], kt[b], scale, probs), g_ctx[b]
-            np.matmul(pb.swapaxes(-1, -2), gb, out=d[2, b])
-            dp = gb @ v[b].swapaxes(-1, -2)
-            dp -= (dp * pb).sum(axis=-1, keepdims=True)
-            dp *= pb
+    scratch = np.empty((min(block, groups), heads, s, s))
+    for lo in range(0, groups, block):
+        b = slice(lo, lo + block)
+        qb, ktb, vb = q[b], kt[b], v[b]
+        p = scratch[: len(qb)]
+        np.matmul(qb, ktb, out=p)
+        p *= scale
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        if ctx is not None:
+            np.matmul(p, vb, out=ctx[b].transpose(0, 2, 1, 3))
+        if g is not None:
+            gb = g[b]
+            np.matmul(p.swapaxes(-1, -2), gb, out=d[2, b])
+            dp = gb @ vb.swapaxes(-1, -2)
+            dp -= (dp * p).sum(axis=-1, keepdims=True)
+            dp *= p
             dp *= scale
-            np.matmul(dp, kt[b].swapaxes(-1, -2), out=d[0, b])
-            d[1, b] = (q[b].swapaxes(-1, -2) @ dp).swapaxes(-1, -2)
-        _accumulate(node, dqkv.reshape(groups, s, three_w))
-
-    return _from_op(data, (node,), backward)
+            np.matmul(dp, ktb.swapaxes(-1, -2), out=d[0, b])
+            d[1, b] = (qb.swapaxes(-1, -2) @ dp).swapaxes(-1, -2)
+    return None if g is None else dqkv.reshape(groups, s, 3 * heads * hd)
 
 
 _LN_EPS = 1e-5  # added to the variance
@@ -653,7 +724,7 @@ def layer_norm(x, gamma, beta):
 
 
 # The layer-norm formulas, shared by ``layer_norm`` and the fused
-# ``norm_linear`` and ``norm_ffn`` nodes so that all compute the same bits.
+# ``norm_attention`` and ``norm_ffn`` nodes so that all compute the same bits.
 
 
 def _ln_affine(x, gamma, beta):

@@ -414,10 +414,11 @@ def activation_words(config, n_nodes, batch):
         errors, included = r * config.horizon, r
     else:
         words += n_nodes + batch * n_nodes * w  # node index, keep mask
-    # per layer: both layer norms' rows and 1/sigma, q, k^T and v, wo's input
-    # rows, and the FFN's pre-activation (attention's backward rebuilds its
-    # probabilities and the FFN's its GELU output and derivative)
-    words += config.layers * r * (6 * w + 2 + f)
+    # per layer: both layer norms' rows and 1/sigma and the FFN's
+    # pre-activation (attention's backward rebuilds q, k^T, v, its
+    # probabilities and the context, and the FFN's its GELU output and
+    # derivative)
+    words += config.layers * r * (2 * w + 2 + f)
     words += r * (w + 2 * f)  # head: input rows, GELU derivative, hidden rows
     return words + errors + included / 8 + 1
 

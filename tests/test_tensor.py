@@ -346,72 +346,125 @@ class TestLinearGelu:
             assert arrays * out_bytes <= peak < (arrays + 0.5) * out_bytes, requires_grad
 
 
-def norm_oracle(x, gamma, beta, w, b):
-    """The unfused chain a ``norm_linear`` node stands for."""
-    return T.linear(T.layer_norm(x, gamma, beta), w, b)
+def run_op(op, values, grads, proj):
+    """``op`` over ``values``, each needing a gradient where ``grads`` says,
+    and, when its output is taped, the backward of a fixed projection:
+    (output, each value's gradient)."""
+    tensors = [Tensor(v, requires_grad=r) for v, r in zip(values, grads)]
+    out = op(*tensors)
+    if out.requires_grad:
+        proj_loss(out, proj).backward()
+    return out, [t.grad for t in tensors]
 
 
-class TestNormLinear:
-    OPS = {"norm_linear": T.norm_linear}
-    # (x, w) shapes: 150 x 64 and 1204 x 131 outputs
-    SHAPES = TestLinearGelu.SHAPES
-    # every subset of (x, gamma, beta, w, b) that needs a gradient; the
-    # empty one is a forward without a tape, as under ``no_grad``
-    GRADS = [tuple(bool(mask >> i & 1) for i in range(5)) for mask in range(32)]
+def assert_fused_matches(fused, oracle, values, grads, proj):
+    """A fused node's output and gradients equal the unfused chain's bits,
+    and it records a tape exactly when some operand needs a gradient."""
+    out, got = run_op(fused, values, grads, proj)
+    want_out, want = run_op(oracle, values, grads, proj)
+    assert out.data.tobytes() == want_out.data.tobytes(), grads
+    assert out.requires_grad == any(grads) and (out._node is None) == (not any(grads))
+    for g, wg, needed in zip(got, want, grads):
+        assert (g is not None) == needed and (wg is not None) == needed, grads
+        if needed:
+            assert g.tobytes() == wg.tobytes(), grads
+
+
+def norm_values(rng, x_shape, w_shape):
+    """x, gamma, beta, w and b for a layer norm and the linear it feeds."""
+    k, n = w_shape
+    return [rng.standard_normal(x_shape) * 3 + 1, rng.standard_normal(k),
+            rng.standard_normal(k), rng.standard_normal(w_shape), rng.standard_normal(n)]
+
+
+def msa_oracle(x, gamma, beta, w_qkv, b_qkv, w_o, b_o, heads):
+    """The unfused chain a ``norm_attention`` node stands for."""
+    qkv = T.linear(T.layer_norm(x, gamma, beta), w_qkv, b_qkv)
+    return T.linear(T.attention(qkv, heads), w_o, b_o)
+
+
+class TestNormAttention:
+    # (groups, s, heads, hd): 3 groups of 50 fit one attention block, and
+    # 37 groups of 64 over 4 heads take three (16, 16 and 5 groups)
+    SHAPES = {"one_block": (3, 50, 2, 8), "three_blocks": (37, 64, 4, 4)}
+    # every subset of (x, gamma, beta, w_qkv, b_qkv, w_o, b_o) that needs a
+    # gradient; the empty one is a forward without a tape, as under ``no_grad``
+    GRADS = [tuple(bool(mask >> i & 1) for i in range(7)) for mask in range(128)]
 
     @staticmethod
-    def values(rng, x_shape, w_shape):
-        k, n = w_shape
-        return [rng.standard_normal(x_shape) * 3 + 1, rng.standard_normal(k),
-                rng.standard_normal(k), rng.standard_normal(w_shape), rng.standard_normal(n)]
+    def values(rng, groups, s, heads, hd, m=12):
+        width = heads * hd
+        return norm_values(rng, (groups, s, width), (width, 3 * width)) + [
+            rng.standard_normal((width, m)) / np.sqrt(width), rng.standard_normal(m)]
 
     @staticmethod
-    def run(op, values, grads, proj):
-        tensors = [Tensor(v, requires_grad=r) for v, r in zip(values, grads)]
-        out = op(*tensors)
-        if out.requires_grad:
-            proj_loss(out, proj).backward()
-        return out, [t.grad for t in tensors]
+    def op(heads, fn=T.norm_attention):
+        return lambda *args: fn(*args, heads)
 
-    @classmethod
-    def assert_matches(cls, fused, oracle, values, grads, proj):
-        out, got = cls.run(fused, values, grads, proj)
-        want_out, want = cls.run(oracle, values, grads, proj)
-        assert out.data.tobytes() == want_out.data.tobytes(), grads
-        assert out.requires_grad == any(grads) and (out._node is None) == (not any(grads))
-        for g, wg, needed in zip(got, want, grads):
-            assert (g is not None) == needed and (wg is not None) == needed, grads
-            if needed:
-                assert g.tobytes() == wg.tobytes(), grads
-
-    @pytest.mark.parametrize("op", OPS)
     @pytest.mark.parametrize("size", SHAPES)
-    def test_matches_layer_norm_then_linear_bit_for_bit(self, op, size):
-        x_shape, w_shape = self.SHAPES[size]
+    def test_matches_the_unfused_chain_bit_for_bit(self, size):
+        groups, s, heads, hd = self.SHAPES[size]
+        block = T._ATTENTION_BLOCK_FLOATS // (heads * s * s)
+        assert -(-groups // block) == {"one_block": 1, "three_blocks": 3}[size]
         rng = np.random.default_rng(34)
-        values = self.values(rng, x_shape, w_shape)
-        proj = rng.standard_normal(x_shape[:-1] + w_shape[1:])
+        values = self.values(rng, groups, s, heads, hd)
+        proj = rng.standard_normal((groups, s, 12))
         for grads in self.GRADS:
-            self.assert_matches(self.OPS[op], norm_oracle, values, grads, proj)
+            assert_fused_matches(self.op(heads), self.op(heads, msa_oracle), values, grads, proj)
 
-    @pytest.mark.parametrize("op", OPS)
-    def test_grads_match_fd(self, op):
+    def test_grads_match_fd(self):
         rng = np.random.default_rng(35)
-        values = self.values(rng, (2, 3, 4), (4, 5))
+        values = self.values(rng, 2, 3, 2, 2, m=5)
         proj = rng.standard_normal((2, 3, 5))
-        _, grads = self.run(self.OPS[op], values, (True,) * 5, proj)
-        assert_grads_match_fd(grads, values, lambda x, gamma, beta, w, b: (
-            (layer_norm_formula(x) * gamma + beta) @ w + b) * proj)
+        _, grads = run_op(self.op(2), values, (True,) * 7, proj)
+        # the key bias shifts every score of a row alike, so its gradient is
+        # zero, which central differences read as about 4e-10
+        assert_grads_match_fd(grads, values, lambda x, gamma, beta, w_qkv, b_qkv, w_o, b_o: (
+            attention_oracle((layer_norm_formula(x) * gamma + beta) @ w_qkv + b_qkv, 2)
+            @ w_o + b_o) * proj, floor=1e-4)
 
-    @pytest.mark.parametrize("op", OPS)
-    def test_keeps_the_normalized_rows_not_the_norms_output(self, op):
+    def test_keeps_normalized_rows_and_inverse_sigma(self):
+        # never the norm's output, q, k^T, v or the context
         rng = np.random.default_rng(36)
-        values = self.values(rng, (3, 50, 16), (16, 64))
+        values = self.values(rng, 3, 50, 2, 8)
         tensors = [Tensor(v, requires_grad=True) for v in values]
-        out = self.OPS[op](*tensors)
+        out = T.norm_attention(*tensors, 2)
+        kept = [a for a in closure_arrays(out._node)
+                if not any(a is t.data for t in tensors)]
+        assert sorted(a.shape for a in kept) == [(3, 50, 1), (3, 50, 16)]
+        by_shape = {a.shape: a for a in kept}
         xhat = T.layer_norm(values[0], np.ones(16), np.zeros(16)).data
-        kept = [a for a in closure_arrays(out._node) if a.shape == xhat.shape]
-        assert len(kept) == 1 and np.array_equal(kept[0], xhat)
+        mu = values[0].mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(((values[0] - mu) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+        assert np.array_equal(by_shape[xhat.shape], xhat)
+        assert np.array_equal(by_shape[inv.shape], inv)
+
+    def test_keeps_nothing_for_the_output_bias_alone(self):
+        rng = np.random.default_rng(37)
+        values = self.values(rng, 3, 50, 2, 8)
+        tensors = [Tensor(v, requires_grad=i == 6) for i, v in enumerate(values)]
+        out = T.norm_attention(*tensors, 2)
+        assert [a for a in closure_arrays(out._node)
+                if not any(a is t.data for t in tensors)] == []
+
+    def test_second_backward_raises(self):
+        rng = np.random.default_rng(38)
+        values = self.values(rng, 3, 50, 2, 8)
+        tensors = [Tensor(v, requires_grad=True) for v in values]
+        loss = proj_loss(T.norm_attention(*tensors, 2), rng.standard_normal((3, 50, 12)))
+        loss.backward()
+        grads = [t.grad.copy() for t in tensors]
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        assert all(t.grad.tobytes() == g.tobytes() for t, g in zip(tensors, grads))
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(39)
+        values = self.values(rng, 2, 3, 2, 2)
+        with pytest.raises(ShapeError):  # 2-D input
+            T.norm_attention(values[0][0], *values[1:], 2)
+        with pytest.raises(ShapeError):  # qkv width not a multiple of 3 * heads
+            T.norm_attention(*values, 3)
 
 
 def layer_norm_formula(x):
@@ -426,8 +479,9 @@ def gelu_formula(h):
     return h * 0.5 * (1 + erf(h / np.sqrt(2)))
 
 
-def assert_grads_match_fd(grads, values, terms):
-    """Each of ``grads`` against central differences of ``terms(*values).sum()``."""
+def assert_grads_match_fd(grads, values, terms, floor=1e-6):
+    """Each of ``grads`` against central differences of ``terms(*values).sum()``,
+    relative to magnitudes of at least ``floor``."""
     for i, g in enumerate(grads):
 
         def f(v, i=i):
@@ -435,7 +489,7 @@ def assert_grads_match_fd(grads, values, terms):
             args[i] = v
             return float(terms(*args).sum())
 
-        assert max_rel_err(g, central_diff(f, values[i])) < 1e-5, i
+        assert max_rel_err(g, central_diff(f, values[i]), floor) < 1e-5, i
 
 
 def ffn_oracle(x, gamma, beta, w1, b1, w2, b2):
@@ -449,13 +503,12 @@ class TestNormFFN:
     SHAPES = TestLinearGelu.SHAPES
     # every subset of (x, gamma, beta, w1, b1, w2, b2) that needs a
     # gradient; the empty one is a forward without a tape
-    GRADS = [tuple(bool(mask >> i & 1) for i in range(7)) for mask in range(128)]
-    run = staticmethod(TestNormLinear.run)
+    GRADS = TestNormAttention.GRADS
 
     @staticmethod
     def values(rng, x_shape, w_shape, m=12):
         f = w_shape[1]
-        return TestNormLinear.values(rng, x_shape, w_shape) + [
+        return norm_values(rng, x_shape, w_shape) + [
             rng.standard_normal((f, m)) / np.sqrt(f), rng.standard_normal(m)]
 
     @pytest.mark.parametrize("size", SHAPES)
@@ -465,13 +518,13 @@ class TestNormFFN:
         values = self.values(rng, x_shape, w_shape)
         proj = rng.standard_normal(x_shape[:-1] + (12,))
         for grads in self.GRADS:
-            TestNormLinear.assert_matches(T.norm_ffn, ffn_oracle, values, grads, proj)
+            assert_fused_matches(T.norm_ffn, ffn_oracle, values, grads, proj)
 
     def test_grads_match_fd(self):
         rng = np.random.default_rng(38)
         values = self.values(rng, (2, 3, 4), (4, 5), m=3)
         proj = rng.standard_normal((2, 3, 3))
-        _, grads = self.run(T.norm_ffn, values, (True,) * 7, proj)
+        _, grads = run_op(T.norm_ffn, values, (True,) * 7, proj)
         assert_grads_match_fd(grads, values, lambda x, gamma, beta, w1, b1, w2, b2: (
             gelu_formula((layer_norm_formula(x) * gamma + beta) @ w1 + b1) @ w2 + b2) * proj)
 

@@ -480,12 +480,11 @@ class TestGraphRelease:
         cfg = tiny_config(layers=2, embed_dim=8, ffn_dim=16, batch_size=batch, subgraph_size=4)
         rng = np.random.default_rng(0)
         forecaster = Forecaster.build(cfg, n, 24, rng)
-        qkv_weights = {id(forecaster.params[f"enc.{i}.qkv"]) for i in range(cfg.layers)}
         # the projections GELU follows
         gelu_weights = {id(forecaster.params[f"enc.{i}.ffn1"]) for i in range(cfg.layers)}
         gelu_weights.add(id(forecaster.params["head.0"]))
-        buffers = {"qkv": [], "preact": [], "ffn": [], "gelu_out": [], "residual": [],
-                   "fused": [], "gathered": [], "ln_out": []}
+        buffers = {"attn": [], "heads": [], "preact": [], "ffn": [], "gelu_out": [],
+                   "residual": [], "fused": [], "gathered": [], "ln_out": []}
 
         def spy(op, kind, picks=lambda args: True):
             real = getattr(T, op)
@@ -498,7 +497,7 @@ class TestGraphRelease:
 
             monkeypatch.setattr(T, op, recording)
 
-        spy("norm_linear", "qkv", lambda args: id(args[3]) in qkv_weights)
+        spy("norm_attention", "attn")
         spy("linear", "preact", lambda args: id(args[1]) in gelu_weights)
         spy("norm_ffn", "ffn")
         spy("linear_gelu", "gelu_out")
@@ -523,12 +522,20 @@ class TestGraphRelease:
             return out
 
         monkeypatch.setattr(T, "_ln_scale_shift", scale_shift)
+        real_heads = T._attention_heads
+
+        def attention_heads(*args):  # a fused node's q, k^T and v
+            out = real_heads(*args)
+            buffers["heads"].extend(weakref.ref(base_array(a)) for a in out)
+            return out
+
+        monkeypatch.setattr(T, "_attention_heads", attention_heads)
         inputs = rng.normal(size=(batch, n, cfg.t_in))
         targets = rng.normal(size=(batch, n, cfg.horizon))
         tod, dow = rng.integers(0, 24, batch), rng.integers(0, 7, batch)
         loss, _ = training_forward(forecaster, inputs, targets, tod, dow, rng)
         monkeypatch.undo()
-        assert [len(refs) for refs in buffers.values()] == [2, 0, 2, 1, 4, 1, 1, 4]
+        assert [len(refs) for refs in buffers.values()] == [2, 6, 0, 2, 1, 4, 1, 1, 4]
         # each encoder FFN wrote GELU beside its pre-activation, which its
         # backward reads; the head wrote over its GEMM's output, the buffer
         # the fused node returns, so no pre-activation of its own existed
@@ -542,9 +549,9 @@ class TestGraphRelease:
         # the last residual sum is the head's input, read by its weight
         # gradient; the head's GELU output is the input of its second
         # projection; a layer norm's output is rebuilt from its normalized
-        # rows, not kept
-        assert alive == {"qkv": [], "preact": [], "ffn": [], "gelu_out": [0], "residual": [3],
-                         "fused": [], "gathered": [], "ln_out": []}
+        # rows, and attention's q, k^T and v from that, not kept
+        assert alive == {"attn": [], "heads": [], "preact": [], "ffn": [], "gelu_out": [0],
+                         "residual": [3], "fused": [], "gathered": [], "ln_out": []}
         loss.backward()
         assert all(g is not None for g in forecaster.params.grads().values())
 
@@ -650,6 +657,54 @@ class TestReleasedBackward:
             assert g.tobytes() == grads[name].tobytes(), name
 
 
+class TestDirectionalDerivative:
+    """The whole training loss's gradient, every fused and blocked backward
+    composed, against a central difference along one random direction
+    over every parameter (``gradcheck``'s fast mode)."""
+
+    # (N, batch, overrides), each at 2 layers, ffn 256 and 4 heads: tokens
+    # x ffn >= 2**17, so each GELU runs chunked, and attention walks 2 or
+    # more blocks of groups
+    CASES = {
+        "node_level": (256, 5, dict(mask_ratio=0.5, subgraph_size=128)),
+        "all_zero": (256, 3, dict(mask_strategy="all_zero", subgraph_size=256)),
+        "sf": (64, 17, dict(folding="SF", t_in=64)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_central_difference(self, case):
+        n, batch, overrides = self.CASES[case]
+        cfg = tiny_config(**{"t_in": 12, "embed_dim": 16, "ffn_dim": 256, "heads": 4,
+                             "layers": 2, "batch_size": batch, **overrides})
+        tokens, s = sample_geometry(cfg, n)
+        assert batch * tokens * cfg.ffn_dim >= 2**17
+        assert batch * tokens // s > T._ATTENTION_BLOCK_FLOATS // (cfg.heads * s * s)
+        rng = np.random.default_rng(3)
+        forecaster = Forecaster.build(cfg, n, 24, rng)
+        arrays = stack_windows(random_windows(rng, n, cfg, batch))
+        params = dict(forecaster.params.items())
+        direction = {name: rng.standard_normal(t.shape) for name, t in params.items()}
+
+        def loss():
+            # a fresh generator each time, so every evaluation draws the same plans
+            return training_forward(forecaster, *arrays, np.random.default_rng(4))[0]
+
+        loss().backward()
+        grads = forecaster.params.grads()
+        assert grads.keys() == params.keys()
+        analytic = sum(float((grads[name] * v).sum()) for name, v in direction.items())
+        base = forecaster.params.clone_data()
+        eps = 1e-6
+        values = []
+        with forecaster.params.no_grad():
+            for sign in (1.0, -1.0):
+                for name, t in params.items():
+                    t.data = base[name] + sign * eps * direction[name]
+                values.append(loss().item())
+        central = (values[0] - values[1]) / (2 * eps)
+        assert abs(analytic - central) <= 1e-6 * abs(central), (analytic, central)
+
+
 class TestStepPeak:
     @staticmethod
     def step_excess(n, batch, **overrides):
@@ -673,13 +728,13 @@ class TestStepPeak:
         return (forward_peak - graph) / unit, (backward_peak - graph) / unit
 
     def test_backward_excess_bounded(self):
-        # 0.75 here, now the forward's peak; 0.75 too over the graph that
-        # kept each layer norm's output, half a unit larger (6.57 units,
-        # then 6.07, and 5.88 now that attention keeps no probabilities).
-        # It read 1.93 (1.89 at the PEMS04 profile) at the end of a backward
-        # that kept the whole graph, and 2.44 while GELU also kept its input
-        # and cdf and attention kept k and copied its gradient out of a
-        # head-major block.
+        # 0.75 here, now the forward's peak, over a graph of 3.88 units;
+        # 0.75 too over the graphs that kept attention's q, k^T, v and wo's
+        # input (4.88), GELU's output (5.88), attention's probabilities
+        # (6.07) and each layer norm's output (6.57). It read 1.93 (1.89 at
+        # the PEMS04 profile) at the end of a backward that kept the whole
+        # graph, and 2.44 while GELU also kept its input and cdf and
+        # attention kept k and copied its gradient out of a head-major block.
         excess = max(self.step_excess(120, 8))
         assert excess <= 2.2, excess
 
@@ -689,8 +744,11 @@ class TestStepPeak:
         # one block each: 2.27 here on top of the whole graph, 5.09 over all
         # 16 groups at once. With the graph released as the walk goes, 0.46:
         # the forward's peak, over the graph with or without the layer
-        # norms' outputs (8.49 and 7.99 units), and over the graph without
-        # attention's probabilities (6.12 units).
+        # norms' outputs (8.49 and 7.99 units), without attention's
+        # probabilities (6.12), without GELU's output (5.12) and without
+        # attention's q, k^T, v and wo's input (4.12). The backward reads
+        # 0.42 over that last graph, 0.10 before it: attention's backward
+        # rebuilds q, k^T, v and the context beside their gradients.
         excess = max(self.step_excess(120, 16, mask_strategy="all_zero"))
         assert excess <= 2.6, excess
 
@@ -698,7 +756,9 @@ class TestStepPeak:
                              [("node_level", 8, 1), ("all_zero", 16, 1), ("node_level", 8, 2)],
                              ids=["node_level-8", "all_zero-16", "node_level-8-two_layers"])
     def test_released_backward_stays_under_the_forward_peak(self, strategy, batch, layers):
-        # The released backward reads 0.10 here under both strategies: each
+        # The released backward reads 0.10 here (node_level) and 0.42
+        # (all_zero, whose attention backward rebuilds q, k^T, v and the
+        # context of all 16 whole-graph groups beside their gradients): each
         # closure's arrays go as it runs. The forward reads 0.75 (node_level)
         # and 0.46 (all_zero): in-place GELU's scratch is at most half an
         # array, the rest the step's inputs. A fused layer norm's output is

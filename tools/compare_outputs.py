@@ -14,10 +14,12 @@ as configured and once each with ``--set folding=SF`` and ``--set
 mask_strategy=all_zero``, so that ``act_floats`` is compared for the
 node_level, SF and perturbation graphs. Last, one full-graph mid-size
 run (its own 96-node series; r=0, s=N, 4 heads, d=16, ffn 256, batch
-16, 2 epochs): ``train`` and ``eval``. It is the one run whose
-attention walks more than one block of groups (3) and whose GELU runs
-chunked, which the 5-node runs never reach. The measured wall-time
-column of the ablate and bench CSVs is dropped before the comparison.
+16, 2 epochs): ``train`` and ``eval``, then both again with ``--set
+layers=2``, so that a second layer's rebuilt attention sublayer is
+compared too. These are the runs whose attention walks more than one
+block of groups (3) and whose GELU runs chunked, which the 5-node runs
+never reach. The measured wall-time column of the ablate and bench CSVs
+is dropped before the comparison.
 Exits 0 when every output matches, 1 otherwise.
 
 Standard library only.
@@ -137,6 +139,14 @@ def run_matrix(checkout, work):
         checkout, work, "eval", "--checkpoint", os.path.join(out, "checkpoint.bin"), "--out", out
     )
     collect(out, "full_graph")
+    out = os.path.join(work, "full_graph_layers_2")
+    outputs["full_graph layers=2/train.stdout"] = foldcast(
+        checkout, work, "train", "--config", cfg, "--set", "layers=2", "--out", out
+    )
+    outputs["full_graph layers=2/eval.stdout"] = foldcast(
+        checkout, work, "eval", "--checkpoint", os.path.join(out, "checkpoint.bin"), "--out", out
+    )
+    collect(out, "full_graph layers=2")
     return outputs
 
 
