@@ -36,8 +36,10 @@ the same order, so blocking changes no bit (a NaN's sign aside).
 Attention's probabilities live one block at a time, in scratch: its
 backward recomputes each block's by the forward's own calls, as in the
 FlashAttention backward, so a graph holds no groups * heads * s^2
-array. GELU's erf is scipy's bit for bit: on a large input, cephes'
-rational in numpy where |x / sqrt(2)| <= 1 and scipy itself elsewhere.
+array. GELU's erf is cephes', the bits of ``scipy.special.erf``, computed
+in numpy for every input: its rational where |x / sqrt(2)| <= 1 and
+1 - erfc elsewhere, with libm's exp reached through numpy's complex exp.
+So the package needs numpy alone.
 
 Gradient ownership: a node's ``.grad`` array belongs to that node alone.
 A node takes over its first gradient and adds later ones into it in
@@ -61,7 +63,6 @@ array operand without a copy.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 
 class ShapeError(ValueError):
@@ -306,6 +307,7 @@ def norm_attention(x, gamma, beta, w_qkv, b_qkv, w_o, b_o, heads):
     output once more for ``w_qkv``'s gradient, so every gradient keeps the
     unfused chain's bits for one more qkv GEMM.
     """
+    _require_biases("norm_attention", b_qkv=b_qkv, b_o=b_o)
     x = _as_tensor(x)
     gamma, beta = _ln_affine(x, gamma, beta)
     w_qkv, b_qkv = _linear_operands(x.data.shape, w_qkv, b_qkv)
@@ -391,6 +393,7 @@ def norm_ffn(x, gamma, beta, w1, b1, w2, b2):
     rebuilds the norm's output for ``w1``'s gradient, so every gradient
     keeps the unfused chain's bits for one more GELU pass.
     """
+    _require_biases("norm_ffn", b1=b1, b2=b2)
     x = _as_tensor(x)
     gamma, beta = _ln_affine(x, gamma, beta)
     w1, b1 = _linear_operands(x.data.shape, w1, b1)
@@ -467,6 +470,13 @@ def _linear_operands(x_shape, w, b):
     if x_shape[-1] != k or b_shape not in (None, (n,)):
         raise ShapeError(f"linear shapes disagree: {x_shape} @ {w.shape} + {b_shape}")
     return w, b
+
+
+def _require_biases(op, **biases):
+    """Reject a None bias of a fused node, which always adds its biases."""
+    for name, b in biases.items():
+        if b is None:
+            raise ShapeError(f"{op} needs a bias array for {name}, got None")
 
 
 def _affine(x, w, b, activate):
@@ -778,38 +788,101 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # Elements per GELU pass: a pass's buffers stay in cache.
 _GELU_CHUNK = 2**15
-# cephes' erf for |a| <= 1, the rational scipy evaluates there:
-# a * polevl(a^2, T) / p1evl(a^2, U), with U's leading 1 implied.
+# cephes' erf (Moshier's ndtr.c, after Cody 1969), whose coefficient tables
+# leave out the leading 1 of the p1evl denominators U, Q and S. For
+# |a| <= 1: a * polevl(a^2, T) / p1evl(a^2, U).
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
           7.00332514112805075473e3, 5.55923013010394962768e4)
 _ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
           2.26290000613890934246e4, 4.92673942608635921086e4)
+# Elsewhere 1 - erfc(|a|), with erfc(x) = exp(-x^2) * polevl(x, P) / p1evl(x, Q)
+# below x = 8 and the same with R and S from 8 on.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERFC_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): erfc is 0 where x^2 > MAXLOG
+
+
+def _polevl(x, coefs, out):
+    """cephes' polevl(x, coefs): Horner's rule from ``coefs[0]``, into ``out``."""
+    np.multiply(x, coefs[0], out=out)
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _p1evl(x, coefs, out):
+    """cephes' p1evl(x, coefs): ``_polevl`` with a leading 1 before ``coefs``."""
+    np.add(x, coefs[0], out=out)
+    for c in coefs[1:]:
+        out *= x
+        out += c
+    return out
 
 
 def _erf_inplace(a, z, p, q):
-    """Overwrite ``a`` with ``scipy.special.erf(a)``, bit for bit.
+    """Overwrite ``a`` with cephes' erf(a), the bits of ``scipy.special.erf``.
 
     Where a^2 <= 1 this is cephes' rational, in cephes' operation order;
     ``z``, ``p`` and ``q`` are scratch of ``a``'s shape. Every other
-    element (|a| > 1, inf, NaN) goes to scipy, whose branch there calls
-    libm's exp, which numpy's exp does not match bit for bit.
+    element (|a| > 1, inf, NaN) is gathered for ``_erf_far``, which works
+    in the scratch's leading elements once the rational is done.
     """
     np.multiply(a, a, out=z)
-    np.multiply(z, _ERF_T[0], out=p)
-    p += _ERF_T[1]
-    for c in _ERF_T[2:]:
-        p *= z
-        p += c
-    np.add(z, _ERF_U[0], out=q)
-    for c in _ERF_U[1:]:
-        q *= z
-        q += c
+    _polevl(z, _ERF_T, p)
+    _p1evl(z, _ERF_U, q)
     # integer indices: a boolean mask gathers and scatters ~10x slower
     far = np.flatnonzero(~(z <= 1.0))
     a_far = a[far]
     p *= a
     np.divide(p, q, out=a)
-    a[far] = erf(a_far)
+    m = far.size
+    if m:
+        a[far] = _erf_far(a_far, z[:m], p[:m], q[:m])
+
+
+def _erf_far(a, x, p, q):
+    """cephes' erf(a) = 1 - erfc(|a|), its sign copied back, for elements
+    with |a| > 1, inf or NaN, in cephes' operation order; ``x``, ``p`` and
+    ``q`` are scratch of ``a``'s shape, and the result is returned in ``p``.
+
+    cephes calls libm's exp. numpy's float64 exp does not match it bit for
+    bit, but its complex exp, given a zero imaginary part, computes the
+    real part by libm's exp, so that is the exp used here.
+    """
+    np.abs(a, out=x)
+    np.negative(x, out=p)
+    p *= x  # z = -x * x
+    e = p.astype(np.complex128)
+    np.exp(e, out=e)
+    e = e.real
+    # cephes' (z * p) / q, its z now exp(-x * x)
+    y = np.multiply(e, _polevl(x, _ERFC_P, p), out=p)
+    y /= _p1evl(x, _ERFC_Q, q)
+    big = np.flatnonzero(x >= 8.0)
+    k = big.size
+    if k:
+        # the same with R and S over the gathered x >= 8, in scratch that
+        # y no longer needs
+        xb = x[big]
+        yb = np.multiply(e[big], _polevl(xb, _ERFC_R, q[:k]), out=q[:k])
+        yb /= _p1evl(xb, _ERFC_S, x[:k])
+        # cephes returns 0 here before its exp; this also makes erfc(inf) 0
+        yb[-xb * xb < -_ERFC_MAXLOG] = 0.0
+        y[big] = yb
+    np.subtract(1.0, y, out=y)
+    np.copysign(y, a, out=y)  # erf(-x) = -erf(x)
+    y[np.isnan(a)] = np.nan  # cephes' NaN, whatever the input NaN's sign and payload
+    return y
 
 
 def gelu(x):
@@ -839,25 +912,22 @@ def _gelu_into(x, out, deriv):
 
     ``out`` may be ``x`` itself: each chunk's input is then copied to a
     scratch row before the chunk is overwritten. The output is written
-    into the Phi(x) buffer. Both are computed a cache-sized chunk at a time
-    (an input under 2**17 elements in one pass), each element by the same
-    operations in the same order.
+    into the Phi(x) buffer. Both are computed a cache-sized chunk at a time,
+    each element by the same operations in the same order.
     """
     in_place = out is x
     x, out = x.reshape(-1), out.reshape(-1)
     if deriv is not None:
         deriv = deriv.reshape(-1)
     n = x.size
-    # Chunks of n // 8 keep the scratch under 3/8 (in place, 1/2) of the
-    # output. Below 2**14 elements a chunk's ~25 numpy calls cost more than
-    # scipy's erf saves, so a smaller input is one chunk through scipy
-    # (in place, copied whole first).
-    chunk = min(_GELU_CHUNK, n // 8)
-    scratch = np.empty((3, chunk)) if chunk >= _GELU_CHUNK // 2 else None
-    if scratch is None:
-        chunk = max(n, 1)
+    # Chunks of n // 8, at most 2**15 elements: the scratch is 3 chunk rows
+    # (in place, 4), so under half the output, and ``_erf_far``'s
+    # temporaries add up to 3 rows more, 7 where |x| >= 8 sqrt(2).
+    chunk = max(1, min(_GELU_CHUNK, n // 8))
+    scratch = np.empty((3, chunk))
     x_row = np.empty(chunk) if in_place else None
-    # the rational overflows to inf / inf on the elements scipy redoes
+    # the rationals overflow to inf / inf, or 0 * inf, on elements that
+    # the far branch, or its x >= 8 branch, redoes
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, chunk):
             xc, cdf = x[lo : lo + chunk], out[lo : lo + chunk]
@@ -865,10 +935,7 @@ def _gelu_into(x, out, deriv):
                 x_row[: len(xc)] = xc
                 xc = x_row[: len(xc)]
             np.multiply(xc, _INV_SQRT2, out=cdf)
-            if scratch is None:
-                erf(cdf, out=cdf)
-            else:
-                _erf_inplace(cdf, *scratch[:, : len(xc)])
+            _erf_inplace(cdf, *scratch[:, : len(xc)])
             cdf += 1.0
             cdf *= 0.5
             if deriv is not None:

@@ -1,10 +1,13 @@
 """The package root re-exports nothing, so ``foldcast.<name>`` is always the
-submodule of that name, never a function that shadows it; and the
-submodules import each other without a cycle."""
+submodule of that name, never a function that shadows it; the submodules
+import each other without a cycle; and the package needs numpy alone."""
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 import types
 
 import pytest
@@ -77,3 +80,13 @@ def test_submodule_imports_have_no_cycle():
 
 def test_model_imports_only_tensor():
     assert submodule_imports("model") == {"tensor"}
+
+
+def test_no_submodule_imports_scipy():
+    # in a fresh interpreter, since the tests themselves import scipy
+    code = (f"import sys\nimport {', '.join(f'foldcast.{name}' for name in SUBMODULES)}\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    path = str(pathlib.Path(foldcast.__path__[0]).parent)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert done.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 """Tensor-core semantics and gradient checks against finite differences."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -171,12 +172,19 @@ class TestGelu:
 
         rng = np.random.default_rng(22)
         tiny = np.finfo(np.float64).smallest_subnormal
+        root_maxlog = np.sqrt(T._ERFC_MAXLOG)  # where erfc's exp(-x^2) stops
         edges = np.array([
             0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
-            -np.nextafter(1.0, 0.0), tiny, -tiny, 1e-310, np.finfo(np.float64).tiny,
-            1.5, -3.25, 7.99, np.inf, -np.inf, np.nan, -np.nan,
+            -np.nextafter(1.0, 0.0), -np.nextafter(1.0, 2.0), tiny, -tiny, 1e-310,
+            np.finfo(np.float64).tiny, 1.5, -3.25, 7.99, 8.0, -8.0, np.nextafter(8.0, 0.0),
+            -np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), root_maxlog, -root_maxlog,
+            np.nextafter(root_maxlog, 0.0), np.nextafter(root_maxlog, 30.0), 26.5, 27.0, -27.0,
+            1e300, -1e300, np.finfo(np.float64).max, np.inf, -np.inf, np.nan, -np.nan,
         ])
-        chunks = [edges]
+        # quiet and signalling NaNs with payloads, of either sign
+        payloads = np.array([0x7FF8000000000123, 0xFFF8000000000001, 0x7FF0000000000001,
+                             0xFFF4000000000001], dtype=np.uint64).view(np.float64)
+        chunks = [edges, payloads]
         for _ in range(11):
             # random bit patterns with the top exponent bit clear: |a| < 2,
             # every exponent below 1 equally often
@@ -184,14 +192,40 @@ class TestGelu:
             a = (bits & ~np.uint64(1 << 62)).view(np.float64)
             chunks.append(a[np.abs(a) <= 1.0])
             chunks.append(rng.uniform(-1.0, 1.0, 10**5))
-        assert sum(c.size for c in chunks[1::2]) >= 10**7
+        assert sum(c.size for c in chunks[2::2]) >= 10**7
+        for _ in range(4):
+            # |a| in [1, 32): random sign and mantissa, exponents 0 to 4
+            # equally often, across erfc's x = 8 and MAXLOG branches
+            bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+            exponent = rng.integers(1023, 1028, bits.size, dtype=np.uint64) << np.uint64(52)
+            chunks.append(((bits & ~np.uint64(0x7FF << 52)) | exponent).view(np.float64))
+        chunks.append(rng.uniform(-30.0, 30.0, 10**6))
+        # small arrays too: GELU's chunks are n // 8 elements, down to one
+        kinds = (chunks[2], chunks[3], chunks[-2], chunks[-1])
+        chunks += [c[:size] for size in (1, 7, 100, 5000) for c in kinds]
         for a in chunks:
             ours = a.copy()
             with np.errstate(over="ignore", invalid="ignore"):
                 T._erf_inplace(ours, *np.empty((3, a.size)))
             assert np.array_equal(ours.view(np.uint64), erf(a).view(np.uint64))
 
-    # below 2**17 elements one scipy pass; above, chunks of n // 8, at most 2**15
+    def test_complex_exp_is_libm_exp_bit_for_bit(self):
+        # cephes' erfc calls libm's exp, which ``_erf_far`` reaches through
+        # numpy's complex exp; a numpy whose complex exp stops calling libm
+        # must fail here, not shift bits silently
+        rng = np.random.default_rng(24)
+        z = np.concatenate([
+            np.linspace(-746.0, -1.0, 10**5), rng.uniform(-746.0, -1.0, 10**5),
+            # results below the smallest normal, down to 0
+            np.linspace(-746.0, -708.0, 10**4),
+        ])
+        ours = np.exp(z.astype(np.complex128)).real
+        libm = np.array([math.exp(v) for v in z])
+        assert np.any((libm > 0) & (libm < np.finfo(np.float64).tiny)) and np.any(libm == 0)
+        assert np.array_equal(ours.view(np.uint64), libm.view(np.uint64))
+
+    # chunks of n // 8 elements, at least 1 and at most 2**15: up to 15
+    # elements go one at a time, and from 2**18 elements the chunks are full
     @pytest.mark.parametrize("shape", [(), (1,), (7,), (64, 64), (3, 5000), (2**17 + 3,), (2**18 + 5,),
                                        (300, 1001)],
                              ids=lambda shape: "x".join(map(str, shape)) or "0d")
@@ -275,8 +309,8 @@ def gelu_oracle(x, w, b):
 
 
 class TestLinearGelu:
-    # (rows, n): 150 x 64 outputs take one scipy pass, 1204 x 131 (over
-    # 2**17) nine chunks, the last of 4 elements
+    # (rows, n): 150 x 64 outputs ("one_pass") take eight GELU chunks of
+    # 1200, 1204 x 131 ("chunked") nine of 19715, the last of 4 elements
     SHAPES = {"one_pass": ((3, 50, 16), (16, 64)), "chunked": ((4, 301, 16), (16, 131))}
 
     @staticmethod
@@ -330,8 +364,8 @@ class TestLinearGelu:
 
     def test_no_pre_activation_beside_the_output(self):
         # the GEMM's output, the derivative when a gradient is needed, and
-        # chunk scratch (1.35 and 2.35 outputs here); GELU of a separate
-        # GEMM output reads 2.30 without a gradient
+        # chunk scratch (1.44 and 2.44 outputs here); GELU of a separate
+        # GEMM output reads 2.39 without a gradient
         rng = np.random.default_rng(33)
         x, w = rng.standard_normal((600, 64)), rng.standard_normal((64, 1024))
         out_bytes = 600 * 1024 * 8
@@ -466,6 +500,13 @@ class TestNormAttention:
         with pytest.raises(ShapeError):  # qkv width not a multiple of 3 * heads
             T.norm_attention(*values, 3)
 
+    @pytest.mark.parametrize("index, name", [(4, "b_qkv"), (6, "b_o")])
+    def test_none_bias_raises_shape_error(self, index, name):
+        values = self.values(np.random.default_rng(41), 2, 3, 2, 2)
+        values[index] = None
+        with pytest.raises(ShapeError, match=f"norm_attention .* {name}"):
+            T.norm_attention(*values, 2)
+
 
 def layer_norm_formula(x):
     mu = x.mean(axis=-1, keepdims=True)
@@ -498,8 +539,8 @@ def ffn_oracle(x, gamma, beta, w1, b1, w2, b2):
 
 
 class TestNormFFN:
-    # (x, w1) shapes: 150 x 64 pre-activations take GELU's one scipy pass,
-    # 1204 x 131 (over 2**17) its chunks
+    # (x, w1) shapes: 150 x 64 pre-activations take eight GELU chunks,
+    # 1204 x 131 nine (``TestLinearGelu.SHAPES``)
     SHAPES = TestLinearGelu.SHAPES
     # every subset of (x, gamma, beta, w1, b1, w2, b2) that needs a
     # gradient; the empty one is a forward without a tape
@@ -553,6 +594,13 @@ class TestNormFFN:
         with pytest.raises(RuntimeError, match="released"):
             loss.backward()
         assert all(t.grad.tobytes() == g.tobytes() for t, g in zip(tensors, grads))
+
+    @pytest.mark.parametrize("index, name", [(4, "b1"), (6, "b2")])
+    def test_none_bias_raises_shape_error(self, index, name):
+        values = self.values(np.random.default_rng(41), (2, 3, 4), (4, 5))
+        values[index] = None
+        with pytest.raises(ShapeError, match=f"norm_ffn .* {name}"):
+            T.norm_ffn(*values)
 
 
 class TestConcat:

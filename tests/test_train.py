@@ -225,8 +225,9 @@ class TestTrainLoop:
 
 class TestTrainInferenceConsistency:
     # the second size runs attention in 3 blocks of 7, 7 and 2 groups (each
-    # group heads * N^2 = 36864 probabilities) and each GELU chunked
-    # (16 * 96 * 256 elements), where the first runs each in one pass
+    # group heads * N^2 = 36864 probabilities) and each GELU in full chunks
+    # of 2**15 (16 * 96 * 256 elements), where the first runs attention in
+    # one block and GELU in chunks of n // 8
     @pytest.mark.parametrize("n, batch_size, overrides", [
         (6, 4, {}),
         (96, 16, dict(embed_dim=16, heads=4, ffn_dim=256)),
@@ -663,8 +664,8 @@ class TestDirectionalDerivative:
     over every parameter (``gradcheck``'s fast mode)."""
 
     # (N, batch, overrides), each at 2 layers, ffn 256 and 4 heads: tokens
-    # x ffn >= 2**17, so each GELU runs chunked, and attention walks 2 or
-    # more blocks of groups
+    # x ffn >= 2**17, so each GELU runs in chunks of 2**14 or more, and
+    # attention walks 2 or more blocks of groups
     CASES = {
         "node_level": (256, 5, dict(mask_ratio=0.5, subgraph_size=128)),
         "all_zero": (256, 3, dict(mask_strategy="all_zero", subgraph_size=256)),

@@ -17,8 +17,8 @@ run (its own 96-node series; r=0, s=N, 4 heads, d=16, ffn 256, batch
 16, 2 epochs): ``train`` and ``eval``, then both again with ``--set
 layers=2``, so that a second layer's rebuilt attention sublayer is
 compared too. These are the runs whose attention walks more than one
-block of groups (3) and whose GELU runs chunked, which the 5-node runs
-never reach. The measured wall-time column of the ablate and bench CSVs
+block of groups (3) and whose GELU runs in full 32K-element chunks,
+which the 5-node runs never reach. The measured wall-time column of the ablate and bench CSVs
 is dropped before the comparison.
 Exits 0 when every output matches, 1 otherwise.
 
