@@ -5,9 +5,10 @@ buffer plus, when gradients are required, a small grad node. The node
 holds the gradient flowing into the tensor, the nodes of the parents that
 need one, and the closure that pushes an output gradient back to them.
 The tape links nodes, not tensors: each closure keeps only the arrays its
-backward reads, and an op keeps nothing for (and computes no gradient
-for) a parent that needs no gradient. So an op output that no backward
-reads, such as a residual sum, is freed as soon as the forward drops it.
+backward reads. A generic op decides per operand: it keeps nothing for
+(and computes no gradient for) a parent that needs no gradient. So an op
+output that no backward reads, such as a residual sum, is freed as soon
+as the forward drops it.
 Calling ``backward()`` on a scalar walks the nodes once in reverse
 topological order. Evaluation is single-threaded and tensors are treated
 as immutable after creation (the optimizer step on parameters is the one
@@ -17,17 +18,17 @@ are bit-identical.
 Fused ops keep the tape short: ``linear`` (x @ w + b as one node),
 ``linear_gelu`` (GELU written over that GEMM's own output, so no
 pre-activation sits beside it), ``norm_attention`` (a pre-norm attention
-sublayer, layer norm, qkv projection, attention and output projection,
-that keeps the normalized rows and 1/sigma: its backward rebuilds the
-norm's output, q, k^T and v by the forward's own calls, and the context
-from the probabilities it rebuilds anyway, so it keeps one tokens x width
-array, not five), ``norm_ffn`` (a pre-norm feed-forward block, layer
-norm, linear, GELU and linear, that keeps the normalized rows, 1/sigma
-and the pre-activation: its backward rebuilds GELU and its derivative by
-the forward's own calls, so it keeps one tokens x ffn array, not two) and
-``attention`` (multi-head softmax(QK^T/sqrt(hd))V over a packed qkv
-tensor, with a hand-written backward that keeps q, k^T and v, not the
-probabilities; the unfused form of ``norm_attention``'s core).
+sublayer that keeps the normalized rows and 1/sigma, one tokens x width
+array, not five: its backward rebuilds the norm's output, q, k^T, v and
+the context by the forward's own calls), ``norm_ffn`` (a pre-norm
+feed-forward block that keeps the normalized rows, 1/sigma and the
+pre-activation, one tokens x ffn array, not two: its backward rebuilds
+GELU and its derivative) and ``attention`` (multi-head
+softmax(QK^T/sqrt(hd))V over a packed qkv tensor, with a hand-written
+backward that keeps q, k^T and v, not the probabilities; the unfused
+form of ``norm_attention``'s core). The two sublayer nodes decide per
+call, not per operand: taped when any operand needs a gradient, they
+compute every gradient, and an operand that needs none drops its own.
 
 ``attention``, ``norm_attention`` and GELU work through their input a
 cache-sized block at a time: attention by groups, GELU by elements. Each
@@ -192,10 +193,10 @@ def _from_op(data, nodes, backward):
 
 
 def _accumulate(node, g):
-    """Add ``g`` into ``node.grad``; a first gradient is taken over as the
-    node's own, except that a leaf copies a view (see "Gradient ownership"
-    above)."""
-    if not node.requires_grad:
+    """Add ``g`` into ``node.grad``, or drop it when ``node`` is None; a
+    first gradient is taken over as the node's own, except that a leaf
+    copies a view (see "Gradient ownership" above)."""
+    if node is None or not node.requires_grad:
         return
     if node.grad is None:
         g = np.asarray(g)
@@ -300,12 +301,13 @@ def norm_attention(x, gamma, beta, w_qkv, b_qkv, w_o, b_o, heads):
     heads), w_o, b_o)`` as one node, bit for bit: a pre-norm attention
     sublayer over (groups, s, w) input.
 
-    The node keeps the normalized rows and 1/sigma, never the layer norm's
-    output, q, k^T, v or the context. Its backward rebuilds q, k^T and v by
-    the forward's own calls, then the context block by block from the
-    probabilities it rebuilds for attention's gradient, and the norm's
-    output once more for ``w_qkv``'s gradient, so every gradient keeps the
-    unfused chain's bits for one more qkv GEMM.
+    Taped when any operand needs a gradient (one decision per call, not
+    per operand), the node keeps the normalized rows and 1/sigma, never the
+    layer norm's output, q, k^T, v or the context, and its backward
+    computes every gradient. It rebuilds q, k^T and v by the forward's own
+    calls, then the context block by block from the probabilities it
+    rebuilds for attention's gradient, and the norm's output once more for
+    ``w_qkv``'s gradient: one more qkv GEMM for the unfused chain's bits.
     """
     _require_biases("norm_attention", b_qkv=b_qkv, b_o=b_o)
     x = _as_tensor(x)
@@ -321,15 +323,12 @@ def norm_attention(x, gamma, beta, w_qkv, b_qkv, w_o, b_o, heads):
     m = w_o.data.shape[1]
     nodes = [_grad_node(t) for t in (x, gamma, beta, w_qkv, b_qkv, w_o, b_o)]
     nx, ng, nbeta, nwq, nbq, nwo, nbo = nodes
-    needs_dx = nx is not None or ng is not None or nbeta is not None
-    # a gradient that crosses attention reads q, k^T and v; wo's, the context
-    needs_dqkv = needs_dx or nwq is not None or nbq is not None
-    rebuild = needs_dqkv or nwo is not None
+    taped = any(node is not None for node in nodes)
     gamma, beta = gamma.data, beta.data
     w_qkv, b_qkv, w_o, b_o = w_qkv.data, b_qkv.data, w_o.data, b_o.data
     xhat, inv = _ln_normalize(x.data)
-    # with no rebuild nothing reads xhat again, so the norm's output overwrites it
-    q, kt, v = _norm_qkv(xhat, gamma, beta, w_qkv, b_qkv, heads, out=None if rebuild else xhat)
+    # with no tape nothing reads xhat again, so the norm's output overwrites it
+    q, kt, v = _norm_qkv(xhat, gamma, beta, w_qkv, b_qkv, heads, out=None if taped else xhat)
     ctx = np.empty((groups, s, width))
     _attention_blocks(q, kt, v, ctx)
     q = kt = v = None
@@ -337,37 +336,26 @@ def norm_attention(x, gamma, beta, w_qkv, b_qkv, w_o, b_o, heads):
     ctx = None
     data += b_o
     data = data.reshape(groups, s, m)
-    if not rebuild:
-        xhat = inv = None
 
     def backward(g):
         # the context is rebuilt beside attention's gradient, so the
         # probabilities are built once per block; q, k^T, v and the context
         # go before the norm's output is rebuilt for dW_qkv
         g2 = g.reshape(-1, m)
-        if nbo is not None:
-            _accumulate(nbo, g.sum(axis=(0, 1)))
-        if not rebuild:
-            return
+        _accumulate(nbo, g.sum(axis=(0, 1)))
         q, kt, v = _norm_qkv(xhat, gamma, beta, w_qkv, b_qkv, heads)
-        g_ctx = (g2 @ w_o.T).reshape(groups, s, width) if needs_dqkv else None
+        g_ctx = (g2 @ w_o.T).reshape(groups, s, width)
         ctx = np.empty((groups, s, width))
         dqkv = _attention_blocks(q, kt, v, ctx, g_ctx)
         q = kt = v = g_ctx = None
-        if nwo is not None:
-            _accumulate(nwo, ctx.reshape(-1, width).T @ g2)
+        _accumulate(nwo, ctx.reshape(-1, width).T @ g2)
         ctx = None
-        if not needs_dqkv:
-            return
         d2 = dqkv.reshape(-1, 3 * width)
-        if nwq is not None:
-            _accumulate(nwq, _ln_scale_shift(xhat, gamma, beta).reshape(-1, k).T @ d2)
-        if nbq is not None:
-            _accumulate(nbq, dqkv.sum(axis=(0, 1)))
-        if needs_dx:
-            dx = (d2 @ w_qkv.T).reshape(x_shape)
-            dqkv = d2 = None
-            _ln_backward(dx, xhat, inv, gamma, nx, ng, nbeta)
+        _accumulate(nwq, _ln_scale_shift(xhat, gamma, beta).reshape(-1, k).T @ d2)
+        _accumulate(nbq, dqkv.sum(axis=(0, 1)))
+        dx = (d2 @ w_qkv.T).reshape(x_shape)
+        dqkv = d2 = None
+        _ln_backward(dx, xhat, inv, gamma, nx, ng, nbeta)
 
     return _from_op(data, nodes, backward)
 
@@ -386,12 +374,13 @@ def norm_ffn(x, gamma, beta, w1, b1, w2, b2):
     """``linear(gelu(linear(layer_norm(x, gamma, beta), w1, b1)), w2, b2)``
     as one node, bit for bit: a pre-norm feed-forward block.
 
-    The node keeps the normalized rows, 1/sigma and the pre-activation
-    ``a``, never the layer norm's output, GELU's output or its derivative.
-    Its backward rebuilds GELU and the derivative over ``a`` by the
-    forward's own chunks, writes ``a``'s gradient over that output, and
-    rebuilds the norm's output for ``w1``'s gradient, so every gradient
-    keeps the unfused chain's bits for one more GELU pass.
+    Taped when any operand needs a gradient (one decision per call, not
+    per operand), the node keeps the normalized rows, 1/sigma and the
+    pre-activation ``a``, never the layer norm's output, GELU's output or
+    its derivative, and its backward computes every gradient. It rebuilds
+    GELU and the derivative over ``a`` by the forward's own chunks, writes
+    ``a``'s gradient over that output, and rebuilds the norm's output for
+    ``w1``'s gradient: one more GELU pass for the unfused chain's bits.
     """
     _require_biases("norm_ffn", b1=b1, b2=b2)
     x = _as_tensor(x)
@@ -403,29 +392,21 @@ def norm_ffn(x, gamma, beta, w1, b1, w2, b2):
     m = w2.data.shape[1]
     nodes = [_grad_node(t) for t in (x, gamma, beta, w1, b1, w2, b2)]
     nx, ng, nbeta, nw1, nb1, nw2, nb2 = nodes
-    needs_dx = nx is not None or ng is not None or nbeta is not None
-    # a gradient that crosses GELU reads a, xhat and 1/sigma
-    needs_da = needs_dx or nw1 is not None or nb1 is not None
+    taped = any(node is not None for node in nodes)
     gamma, beta = gamma.data, beta.data
+    w1, b1, w2, b2 = w1.data, b1.data, w2.data, b2.data
     xhat, inv = _ln_normalize(x.data)
-    rows = _ln_scale_shift(xhat, gamma, beta, out=None if needs_da else xhat).reshape(-1, k)
-    a = rows @ w1.data
+    # with no tape nothing reads xhat or a again: the norm's output and GELU overwrite them
+    rows = _ln_scale_shift(xhat, gamma, beta, out=None if taped else xhat).reshape(-1, k)
+    a = rows @ w1
     del rows
-    a += b1.data
-    # GELU overwrites a unless a backward reads it
-    keep_a = needs_da or nw2 is not None
-    h = np.empty(a.shape) if keep_a else a
+    a += b1
+    h = np.empty(a.shape) if taped else a
     _gelu_into(a, h, None)
-    data = h @ w2.data
+    data = h @ w2
     del h
-    data += b2.data
+    data += b2
     data = data.reshape(x_shape[:-1] + (m,))
-    if not keep_a:
-        a = None
-    if not needs_da:
-        xhat = inv = None
-    w1_data = w1.data if needs_dx else None
-    w2_data = w2.data if needs_da else None
 
     def backward(g):
         # GELU's output and derivative are rebuilt over a; dW2 and db2 read
@@ -433,27 +414,19 @@ def norm_ffn(x, gamma, beta, w1, b1, w2, b2):
         nonlocal a
         lead = tuple(range(g.ndim - 1))
         g2 = g.reshape(-1, m)
-        deriv = np.empty(a.shape) if needs_da else None
-        if a is not None:
-            _gelu_into(a, a, deriv)
-        if nw2 is not None:
-            _accumulate(nw2, a.T @ g2)
-        if nb2 is not None:
-            _accumulate(nb2, g.sum(axis=lead))
-        if not needs_da:
-            return
-        da = np.matmul(g2, w2_data.T, out=a)
+        deriv = np.empty(a.shape)
+        _gelu_into(a, a, deriv)
+        _accumulate(nw2, a.T @ g2)
+        _accumulate(nb2, g.sum(axis=lead))
+        da = np.matmul(g2, w2.T, out=a)
         a = None
         da *= deriv
         del deriv
-        if nw1 is not None:
-            _accumulate(nw1, _ln_scale_shift(xhat, gamma, beta).reshape(-1, k).T @ da)
-        if nb1 is not None:
-            _accumulate(nb1, da.reshape(x_shape[:-1] + (f,)).sum(axis=lead))
-        if needs_dx:
-            dx = (da @ w1_data.T).reshape(x_shape)
-            del da
-            _ln_backward(dx, xhat, inv, gamma, nx, ng, nbeta)
+        _accumulate(nw1, _ln_scale_shift(xhat, gamma, beta).reshape(-1, k).T @ da)
+        _accumulate(nb1, da.reshape(x_shape[:-1] + (f,)).sum(axis=lead))
+        dx = (da @ w1.T).reshape(x_shape)
+        del da
+        _ln_backward(dx, xhat, inv, gamma, nx, ng, nbeta)
 
     return _from_op(data, nodes, backward)
 
@@ -608,9 +581,11 @@ def gather_rows(t, index):
     data = t.data[index]
 
     def backward(g):
-        full = np.zeros(shape)
-        np.add.at(full, index, g)
-        _accumulate(node, full)
+        # np.add.at's bits: each flat cell adds its terms in index order from +0.0
+        width = int(np.prod(shape[1:]))
+        cells = (index.reshape(-1, 1).astype(np.intp) * width + np.arange(width)).ravel()
+        full = np.bincount(cells, weights=g.ravel(), minlength=shape[0] * width)
+        _accumulate(node, full.reshape(shape))
 
     return _from_op(data, (node,), backward)
 

@@ -411,6 +411,31 @@ def norm_values(rng, x_shape, w_shape):
             rng.standard_normal(k), rng.standard_normal(w_shape), rng.standard_normal(n)]
 
 
+# each fused sublayer node's operands, in argument order
+OPERANDS = {"norm_attention": ["x", "gamma", "beta", "w_qkv", "b_qkv", "w_o", "b_o"],
+            "norm_ffn": ["x", "gamma", "beta", "w1", "b1", "w2", "b2"]}
+
+
+def assert_taped_per_call(op, values, operand, proj):
+    """A fused node decides per call: with only ``values[operand]`` needing
+    a gradient it keeps the arrays of a call where all do, bit for bit, and
+    only that operand gets a gradient. Returns the kept arrays' shapes."""
+
+    def kept(grads):
+        tensors = [Tensor(v, requires_grad=r) for v, r in zip(values, grads)]
+        out = op(*tensors)
+        arrays = [a for a in closure_arrays(out._node)
+                  if not any(a is t.data for t in tensors)]
+        return tensors, out, sorted((a.shape, a.tobytes()) for a in arrays)
+
+    grads = [i == operand for i in range(len(values))]
+    tensors, out, one = kept(grads)
+    assert one == kept([True] * len(values))[2]
+    proj_loss(out, proj).backward()
+    assert [t.grad is not None for t in tensors] == grads
+    return [shape for shape, _ in one]
+
+
 def msa_oracle(x, gamma, beta, w_qkv, b_qkv, w_o, b_o, heads):
     """The unfused chain a ``norm_attention`` node stands for."""
     qkv = T.linear(T.layer_norm(x, gamma, beta), w_qkv, b_qkv)
@@ -473,13 +498,12 @@ class TestNormAttention:
         assert np.array_equal(by_shape[xhat.shape], xhat)
         assert np.array_equal(by_shape[inv.shape], inv)
 
-    def test_keeps_nothing_for_the_output_bias_alone(self):
+    @pytest.mark.parametrize("operand", range(7), ids=OPERANDS["norm_attention"])
+    def test_one_operand_keeps_the_fully_taped_arrays(self, operand):
         rng = np.random.default_rng(37)
         values = self.values(rng, 3, 50, 2, 8)
-        tensors = [Tensor(v, requires_grad=i == 6) for i, v in enumerate(values)]
-        out = T.norm_attention(*tensors, 2)
-        assert [a for a in closure_arrays(out._node)
-                if not any(a is t.data for t in tensors)] == []
+        kept = assert_taped_per_call(self.op(2), values, operand, rng.standard_normal((3, 50, 12)))
+        assert kept == [(3, 50, 1), (3, 50, 16)]
 
     def test_second_backward_raises(self):
         rng = np.random.default_rng(38)
@@ -584,6 +608,13 @@ class TestNormFFN:
         assert np.array_equal(by_shape[xhat.shape], xhat)
         assert by_shape[pre.shape].tobytes() == pre.tobytes()
 
+    @pytest.mark.parametrize("operand", range(7), ids=OPERANDS["norm_ffn"])
+    def test_one_operand_keeps_the_fully_taped_arrays(self, operand):
+        rng = np.random.default_rng(42)
+        values = self.values(rng, (3, 50, 16), (16, 64))
+        kept = assert_taped_per_call(T.norm_ffn, values, operand, rng.standard_normal((3, 50, 12)))
+        assert kept == [(3, 50, 1), (3, 50, 16), (150, 64)]
+
     def test_second_backward_raises(self):
         rng = np.random.default_rng(40)
         values = self.values(rng, (3, 50, 16), (16, 64))
@@ -635,6 +666,27 @@ class TestMovementOps:
         idx = np.array([0, 0, 2])
         T.tsum(T.gather_rows(t, idx)).backward()
         assert np.array_equal(t.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+
+    # (rows, trailing shape, index) for the gather's backward
+    GATHER_CASES = {
+        "duplicates": (5, (3, 4), np.random.default_rng(43).integers(0, 2, (60, 7))),
+        "broadcast_view": (9, (6,), np.broadcast_to(np.arange(9), (4, 9))),  # as tokenize passes
+        "empty": (4, (3,), np.zeros((0, 2), dtype=int)),
+    }
+
+    @pytest.mark.parametrize("case", GATHER_CASES)
+    def test_gather_backward_is_add_at_bit_for_bit(self, case):
+        rows, trailing, index = self.GATHER_CASES[case]
+        rng = np.random.default_rng(44)
+        g = rng.standard_normal(index.shape + trailing) * 10.0 ** rng.integers(-8, 9, trailing)
+        # signed zeros: a cell that only -0.0 reaches reads +0.0, from np.add.at's zeros
+        g[..., 0] = -0.0
+        g.reshape(-1)[::3] = -0.0
+        t = Tensor(rng.standard_normal((rows,) + trailing), requires_grad=True)
+        proj_loss(T.gather_rows(t, index), g).backward()
+        want = np.zeros(t.shape)
+        np.add.at(want, index, g)
+        assert t.grad.tobytes() == want.tobytes()
 
     def test_gather_out_of_range(self):
         with pytest.raises(IndexError):

@@ -658,6 +658,66 @@ class TestReleasedBackward:
             assert g.tobytes() == grads[name].tobytes(), name
 
 
+# the configurations a training run drives the encoder under
+RUN_CASES = {
+    "node_level": {},
+    "sf": dict(folding="SF"),
+    "all_zero": dict(mask_strategy="all_zero"),
+    "two_layers": dict(layers=2),
+}
+
+
+class TestFusedNodeTraffic:
+    """``norm_attention`` and ``norm_ffn`` tape per call, not per operand,
+    which holds only while every call passes 7 operands that need a
+    gradient (training) or none (``evaluate``): a caller that freezes a
+    subset fails here."""
+
+    @pytest.mark.parametrize("overrides", RUN_CASES.values(), ids=RUN_CASES)
+    def test_every_call_needs_all_gradients_or_none(self, monkeypatch, overrides):
+        seen = {"norm_attention": [], "norm_ffn": []}
+        for name, counts in seen.items():
+
+            def counting(*args, real=getattr(T, name), counts=counts):
+                counts.append(sum(T._grad_node(T._as_tensor(a)) is not None for a in args[:7]))
+                return real(*args)
+
+            monkeypatch.setattr(T, name, counting)
+        cfg = tiny_config(max_epochs=1, **overrides)
+        series = sinusoid_series(seed=12)
+        result = train(cfg, series)
+        stats, (_, _, test_w) = TRAIN_MODULE.normalized_windows(cfg, series)
+        evaluate(result.forecaster, test_w, stats)
+        for name, counts in seen.items():
+            assert set(counts) == {0, 7}, (name, sorted(set(counts)))
+
+
+class TestImmutability:
+    """No op writes into an array it does not own: with every parameter,
+    the stacked batch and the window views read-only, a training step's
+    forward and backward and an ``evaluate`` run through."""
+
+    @pytest.mark.parametrize("overrides", RUN_CASES.values(), ids=RUN_CASES)
+    def test_step_and_evaluate_write_into_no_operand(self, overrides):
+        cfg = tiny_config(**overrides)
+        series = sinusoid_series(seed=13)
+        stats, (train_w, val_w, _) = TRAIN_MODULE.normalized_windows(cfg, series)
+        forecaster = Forecaster.build(
+            cfg, series.node_count, series.frequency, np.random.default_rng(0)
+        )
+        for w in train_w + val_w:
+            w.input.flags.writeable = w.target.flags.writeable = False
+        for _, t in forecaster.params.items():
+            t.data.flags.writeable = False
+        arrays = stack_windows(train_w[: cfg.batch_size])
+        for a in arrays:
+            a.flags.writeable = False
+        loss, _ = training_forward(forecaster, *arrays, np.random.default_rng(1))
+        loss.backward()
+        assert forecaster.params.grads().keys() == dict(forecaster.params.items()).keys()
+        evaluate(forecaster, val_w, stats)
+
+
 class TestDirectionalDerivative:
     """The whole training loss's gradient, every fused and blocked backward
     composed, against a central difference along one random direction
