@@ -45,8 +45,8 @@ class RunConfig:
 
 
 def parse_config_file(path):
-    """Read ``key = value`` pairs; values stay raw strings here."""
-    values = {}
+    """Read ``key = value`` pairs, each key once; values stay raw strings here."""
+    values, lines = {}, {}
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -61,7 +61,10 @@ def parse_config_file(path):
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in SCHEMA:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = raw
+            if key in lines:
+                raise ConfigError(f"{path}:{lineno}: config key {key!r} given twice, "
+                                  f"on lines {lines[key]} and {lineno}")
+            values[key], lines[key] = raw, lineno
     return values
 
 

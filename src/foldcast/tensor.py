@@ -23,17 +23,14 @@ array, not five: its backward rebuilds the norm's output, q, k^T, v and
 the context by the forward's own calls), ``norm_ffn`` (a pre-norm
 feed-forward block that keeps the normalized rows, 1/sigma and the
 pre-activation, one tokens x ffn array, not two: its backward rebuilds
-GELU and its derivative) and ``attention`` (multi-head
-softmax(QK^T/sqrt(hd))V over a packed qkv tensor, with a hand-written
-backward that keeps q, k^T and v, not the probabilities; the unfused
-form of ``norm_attention``'s core). The two sublayer nodes decide per
-call, not per operand: taped when any operand needs a gradient, they
-compute every gradient, and an operand that needs none drops its own.
+GELU and its derivative). The two sublayer nodes decide per call, not
+per operand: taped when any operand needs a gradient, they compute every
+gradient, and an operand that needs none drops its own.
 
-``attention``, ``norm_attention`` and GELU work through their input a
-cache-sized block at a time: attention by groups, GELU by elements. Each
-group or element goes through the operations of one whole-array pass in
-the same order, so blocking changes no bit (a NaN's sign aside).
+``norm_attention`` and GELU work through their input a cache-sized block
+at a time: attention by groups, GELU by elements. Each group or element
+goes through the operations of one whole-array pass in the same order,
+so blocking changes no bit (a NaN's sign aside).
 Attention's probabilities live one block at a time, in scratch: its
 backward recomputes each block's by the forward's own calls, as in the
 FlashAttention backward, so a graph holds no groups * heads * s^2
@@ -297,9 +294,10 @@ def linear_gelu(x, w, b):
 
 
 def norm_attention(x, gamma, beta, w_qkv, b_qkv, w_o, b_o, heads):
-    """``linear(attention(linear(layer_norm(x, gamma, beta), w_qkv, b_qkv),
-    heads), w_o, b_o)`` as one node, bit for bit: a pre-norm attention
-    sublayer over (groups, s, w) input.
+    """``layer_norm``, the qkv projection (q, k and v side by side, each in
+    ``heads`` heads of width hd), softmax(Q K^T / sqrt(hd)) V and the output
+    projection as one node, bit for bit: a pre-norm attention sublayer over
+    (groups, s, k) input.
 
     Taped when any operand needs a gradient (one decision per call, not
     per operand), the node keeps the normalized rows and 1/sigma, never the
@@ -609,33 +607,6 @@ def softmax_lastdim(x):
 _ATTENTION_BLOCK_FLOATS = 2**18
 
 
-def attention(qkv, heads):
-    """Multi-head self-attention over packed projections, as one node.
-
-    ``qkv`` is (groups, s, 3w): queries, keys and values side by side, each
-    split into ``heads`` heads of width hd = w / heads. Returns the
-    (groups, s, w) merged-head context softmax(Q K^T / sqrt(hd)) V. Both
-    directions walk the groups in blocks of about 2 MiB of probabilities
-    (``_attention_blocks``), so with or without a tape the op never holds
-    groups * heads * s^2 floats. The backward keeps q, k^T and v, each an
-    array of its own (k itself is not kept), and rebuilds each block's
-    probabilities from them.
-    """
-    qkv = _as_tensor(qkv)
-    if qkv.ndim != 3 or qkv.data.shape[-1] % (3 * heads):
-        raise ShapeError(f"attention needs (groups, s, 3 * heads * hd), got {qkv.shape}")
-    node = _grad_node(qkv)
-    groups, s, three_w = qkv.data.shape
-    q, kt, v = _attention_heads(qkv.data, heads)
-    ctx = np.empty((groups, s, three_w // 3))
-    _attention_blocks(q, kt, v, ctx)
-
-    def backward(g):
-        _accumulate(node, _attention_blocks(q, kt, v, None, g))
-
-    return _from_op(ctx, (node,), backward)
-
-
 def _attention_heads(qkv, heads):
     """q, k^T and v of a packed (groups, s, 3w) array, each an array of its
     own: q and v (groups, h, s, hd), k^T (groups, h, hd, s)."""
@@ -770,18 +741,15 @@ _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.2320053459468431
           7.00332514112805075473e3, 5.55923013010394962768e4)
 _ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
           2.26290000613890934246e4, 4.92673942608635921086e4)
-# Elsewhere 1 - erfc(|a|), with erfc(x) = exp(-x^2) * polevl(x, P) / p1evl(x, Q)
-# below x = 8 and the same with R and S from 8 on.
+# Elsewhere 1 - erfc(|a|), with erfc(x) = exp(-x^2) * polevl(x, P) / p1evl(x, Q).
+# cephes takes other coefficients from x = 8 on, but there erfc(x) <= 1.1e-29,
+# so 1 - erfc rounds to 1.0 whichever rational computes it.
 _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
            4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
            9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
 _ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 _ERFC_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): erfc is 0 where x^2 > MAXLOG
 
 
@@ -837,23 +805,16 @@ def _erf_far(a, x, p, q):
     np.abs(a, out=x)
     np.negative(x, out=p)
     p *= x  # z = -x * x
+    # cephes' erfc returns 0 where z < -MAXLOG, before its exp; this also
+    # makes erfc(inf) 0, and P / Q's inf / inf from x of about 1e39 on
+    zero = p < -_ERFC_MAXLOG
     e = p.astype(np.complex128)
     np.exp(e, out=e)
     e = e.real
     # cephes' (z * p) / q, its z now exp(-x * x)
     y = np.multiply(e, _polevl(x, _ERFC_P, p), out=p)
     y /= _p1evl(x, _ERFC_Q, q)
-    big = np.flatnonzero(x >= 8.0)
-    k = big.size
-    if k:
-        # the same with R and S over the gathered x >= 8, in scratch that
-        # y no longer needs
-        xb = x[big]
-        yb = np.multiply(e[big], _polevl(xb, _ERFC_R, q[:k]), out=q[:k])
-        yb /= _p1evl(xb, _ERFC_S, x[:k])
-        # cephes returns 0 here before its exp; this also makes erfc(inf) 0
-        yb[-xb * xb < -_ERFC_MAXLOG] = 0.0
-        y[big] = yb
+    y[zero] = 0.0
     np.subtract(1.0, y, out=y)
     np.copysign(y, a, out=y)  # erf(-x) = -erf(x)
     y[np.isnan(a)] = np.nan  # cephes' NaN, whatever the input NaN's sign and payload
@@ -897,12 +858,12 @@ def _gelu_into(x, out, deriv):
     n = x.size
     # Chunks of n // 8, at most 2**15 elements: the scratch is 3 chunk rows
     # (in place, 4), so under half the output, and ``_erf_far``'s
-    # temporaries add up to 3 rows more, 7 where |x| >= 8 sqrt(2).
+    # temporaries add up to 3 rows more.
     chunk = max(1, min(_GELU_CHUNK, n // 8))
     scratch = np.empty((3, chunk))
     x_row = np.empty(chunk) if in_place else None
     # the rationals overflow to inf / inf, or 0 * inf, on elements that
-    # the far branch, or its x >= 8 branch, redoes
+    # the far branch redoes or zeroes
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, chunk):
             xc, cdf = x[lo : lo + chunk], out[lo : lo + chunk]

@@ -146,6 +146,15 @@ class TestTrain:
         assert code == 2
         assert "nowhere.txt" in capsys.readouterr().err
 
+    def test_config_key_given_twice_exits_2(self, workspace, capsys):
+        tmp_path, cfg, _ = workspace
+        twice = tmp_path / "twice.cfg"
+        twice.write_text(cfg.read_text() + "lr = 0.2\n")
+        code = main(["train", "--config", str(twice), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "config key 'lr' given twice" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_nonpositive_model_size_exits_2(self, workspace, capsys):
         tmp_path, cfg, _ = workspace
         code = main(["train", "--config", str(cfg), "--set", "heads=0",

@@ -27,6 +27,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_file(path)
 
+    def test_key_given_twice_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("lr = 0.1\n# later\nseed = 3\nlr = 0.2\n")
+        with pytest.raises(ConfigError, match=r"run.cfg:4: config key 'lr' given twice, "
+                                              r"on lines 1 and 4"):
+            parse_config_file(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config_file(tmp_path / "absent.cfg")

@@ -9,6 +9,7 @@ from foldcast.tensor import Tensor
 from foldcast.train import TrainConfig
 
 from fdcheck import central_diff, max_rel_err
+from unfused import unfused_msa
 
 
 def toy_config(width=8, heads=2, ffn=6, layers=1, horizon=2):
@@ -106,21 +107,9 @@ class TestMSA:
 
 
 def reference_msa(z, params, layer, heads):
-    """The unfused layer_norm/slice/reshape/transpose/mul/softmax chain ``msa`` replaced."""
-    groups, s, width = z.shape
-    head_dim = width // heads
-    z = T.layer_norm(z, params[f"enc.{layer}.ln1.g"], params[f"enc.{layer}.ln1.b"])
-    qkv = T.add(T.matmul(z, params[f"enc.{layer}.qkv"]), params[f"enc.{layer}.qkv_b"])
-    parts = []
-    for lo in (0, width, 2 * width):
-        piece = T.slice_lastdim(qkv, lo, lo + width)
-        piece = T.reshape(piece, (groups, s, heads, head_dim))
-        parts.append(T.transpose(piece, (0, 2, 1, 3)))
-    q, k, v = parts
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
-    ctx = T.matmul(T.softmax_lastdim(scores), v)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (groups, s, width))
-    return T.add(T.matmul(ctx, params[f"enc.{layer}.wo"]), params[f"enc.{layer}.wo_b"])
+    """The unfused chain of public ops that ``msa``'s one node replaced."""
+    names = ("ln1.g", "ln1.b", "qkv", "qkv_b", "wo", "wo_b")
+    return unfused_msa(z, *(params[f"enc.{layer}.{name}"] for name in names), heads)
 
 
 class TestFusedParity:

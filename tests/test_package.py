@@ -90,3 +90,32 @@ def test_no_submodule_imports_scipy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert done.stdout.strip() == "[]"
+
+
+def called_names(path):
+    """Every name the Python file at ``path`` calls, bare or as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            found.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return found
+
+
+def test_every_public_tensor_callable_has_a_caller(monkeypatch):
+    # a public op that only its own tests call is a second path to keep
+    # correct: each one is called in the package, by the acceptance test,
+    # or wrapped by name by the benchmark under perfbench/
+    import foldcast.tensor as T
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import tracing
+
+    used = set(tracing.REQUIRED["tensor"]) | called_names(root / "tests" / "test_acceptance.py")
+    for path in pathlib.Path(foldcast.__path__[0]).glob("*.py"):
+        used |= called_names(path)
+    public = {name for name, obj in vars(T).items() if not name.startswith("_")
+              and callable(obj) and getattr(obj, "__module__", None) == T.__name__}
+    assert public >= {"Tensor", "norm_attention", "adam_step"}
+    assert sorted(public - used) == []

@@ -10,6 +10,7 @@ from foldcast.tensor import AdamState, ShapeError, Tensor, adam_step
 
 from fdcheck import central_diff, max_rel_err
 from graphwalk import base_array, closure_arrays
+from unfused import unfused_msa
 
 
 def proj_loss(out, w):
@@ -203,6 +204,11 @@ class TestGelu:
         # small arrays too: GELU's chunks are n // 8 elements, down to one
         kinds = (chunks[2], chunks[3], chunks[-2], chunks[-1])
         chunks += [c[:size] for size in (1, 7, 100, 5000) for c in kinds]
+        # dense across x = 8, where cephes' erfc turns to a rational that
+        # ours leaves out, and across sqrt(MAXLOG)
+        for lo, hi in ((7.9, 8.1), (26.0, 28.0)):
+            dense = np.linspace(lo, hi, 10**6)
+            chunks += [dense, -dense]
         for a in chunks:
             ours = a.copy()
             with np.errstate(over="ignore", invalid="ignore"):
@@ -436,16 +442,12 @@ def assert_taped_per_call(op, values, operand, proj):
     return [shape for shape, _ in one]
 
 
-def msa_oracle(x, gamma, beta, w_qkv, b_qkv, w_o, b_o, heads):
-    """The unfused chain a ``norm_attention`` node stands for."""
-    qkv = T.linear(T.layer_norm(x, gamma, beta), w_qkv, b_qkv)
-    return T.linear(T.attention(qkv, heads), w_o, b_o)
-
-
 class TestNormAttention:
-    # (groups, s, heads, hd): 3 groups of 50 fit one attention block, and
-    # 37 groups of 64 over 4 heads take three (16, 16 and 5 groups)
-    SHAPES = {"one_block": (3, 50, 2, 8), "three_blocks": (37, 64, 4, 4)}
+    # (groups, s, heads, hd, attention blocks): 3 groups of 50 fit one
+    # block, 37 groups of 64 over 4 heads take three (16, 16 and 5 groups),
+    # 5 groups of 300 one each, and 40 single-token groups one in all
+    SHAPES = {"one_block": (3, 50, 2, 8, 1), "three_blocks": (37, 64, 4, 4, 3),
+              "five_blocks": (5, 300, 2, 3, 5), "single_token": (40, 1, 2, 2, 1)}
     # every subset of (x, gamma, beta, w_qkv, b_qkv, w_o, b_o) that needs a
     # gradient; the empty one is a forward without a tape, as under ``no_grad``
     GRADS = [tuple(bool(mask >> i & 1) for i in range(7)) for mask in range(128)]
@@ -462,14 +464,14 @@ class TestNormAttention:
 
     @pytest.mark.parametrize("size", SHAPES)
     def test_matches_the_unfused_chain_bit_for_bit(self, size):
-        groups, s, heads, hd = self.SHAPES[size]
+        groups, s, heads, hd, blocks = self.SHAPES[size]
         block = T._ATTENTION_BLOCK_FLOATS // (heads * s * s)
-        assert -(-groups // block) == {"one_block": 1, "three_blocks": 3}[size]
+        assert -(-groups // block) == blocks
         rng = np.random.default_rng(34)
         values = self.values(rng, groups, s, heads, hd)
         proj = rng.standard_normal((groups, s, 12))
         for grads in self.GRADS:
-            assert_fused_matches(self.op(heads), self.op(heads, msa_oracle), values, grads, proj)
+            assert_fused_matches(self.op(heads), self.op(heads, unfused_msa), values, grads, proj)
 
     def test_grads_match_fd(self):
         rng = np.random.default_rng(35)
@@ -821,7 +823,18 @@ def attention_whole_batch(qkv, heads, g):
     return out, dqkv.reshape(groups, s, three_w)
 
 
+def blocks_forward(qkv, heads):
+    """The context ``_attention_blocks`` writes for packed (groups, s, 3w) qkv."""
+    ctx = np.empty(qkv.shape[:2] + (qkv.shape[2] // 3,))
+    T._attention_blocks(*T._attention_heads(qkv, heads), ctx)
+    return ctx
+
+
 class TestAttention:
+    """``_attention_blocks``, the walk under ``norm_attention``, called
+    directly: forward alone, the gradient alone, and both in one walk, as
+    ``norm_attention``'s backward calls it."""
+
     # a block holds 2**18 probabilities: 16 of these 37 groups, 1 of these
     # 5, and all 40 single-token groups
     @pytest.mark.parametrize("groups,s,heads,hd", [(37, 64, 4, 4), (5, 300, 2, 3), (40, 1, 2, 2)])
@@ -830,29 +843,30 @@ class TestAttention:
         qkv = rng.standard_normal((groups, s, 3 * heads * hd))
         g = rng.standard_normal((groups, s, heads * hd))
         out_want, dqkv_want = attention_whole_batch(qkv, heads, g)
-        assert T.attention(Tensor(qkv), heads).data.tobytes() == out_want.tobytes()
-        xt = Tensor(qkv, requires_grad=True)
-        out = T.attention(xt, heads)
-        assert out.data.tobytes() == out_want.tobytes()
-        T.tsum(T.mul(out, g)).backward()  # attention's incoming gradient is g
-        assert xt.grad.tobytes() == dqkv_want.tobytes()
+        assert blocks_forward(qkv, heads).tobytes() == out_want.tobytes()
+        q, kt, v = T._attention_heads(qkv, heads)
+        assert T._attention_blocks(q, kt, v, None, g).tobytes() == dqkv_want.tobytes()
+        ctx = np.empty(out_want.shape)
+        assert T._attention_blocks(q, kt, v, ctx, g).tobytes() == dqkv_want.tobytes()
+        assert ctx.tobytes() == out_want.tobytes()
 
     def test_no_tape_holds_one_block_of_probabilities(self):
         groups, s, heads, hd = 70, 64, 2, 4
         qkv = np.random.default_rng(25).standard_normal((groups, s, 3 * heads * hd))
-        xt = Tensor(qkv)
+        q, kt, v = T._attention_heads(qkv, heads)
         tracemalloc.start()
         try:
-            T.attention(xt, heads)
+            ctx = np.empty((groups, s, heads * hd))
+            T._attention_blocks(q, kt, v, ctx)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         per_group = heads * s * s * 8
         block = T._ATTENTION_BLOCK_FLOATS * 8
         assert block < groups * per_group / 2
-        # the output, q, k^T and v are a third of qkv each; one block's row
-        # maxima (32 KiB) and numpy's ufunc buffer (64 KiB) come on top
-        assert peak <= 4 * qkv.nbytes / 3 + block + 2**17, peak
+        # the context is a third of qkv; one block's row maxima (32 KiB) and
+        # numpy's ufunc buffer (64 KiB) come on top
+        assert peak <= qkv.nbytes / 3 + block + 2**17, peak
 
     def test_tape_holds_one_block_of_probabilities(self):
         # 10 blocks of 32 groups: all the probabilities would be 18.75 MiB
@@ -860,24 +874,16 @@ class TestAttention:
         rng = np.random.default_rng(26)
         qkv = rng.standard_normal((groups, s, 3 * heads * hd))
         g = rng.standard_normal((groups, s, heads * hd))
-        # an interior parent takes dqkv over without the copy a leaf makes
-        xt = T.mul(Tensor(qkv, requires_grad=True), 1.0)
+        q, kt, v = T._attention_heads(qkv, heads)
+        ctx = np.empty(g.shape)
         block = T._ATTENTION_BLOCK_FLOATS * 8
         assert groups * heads * s * s * 8 > 9 * block
         tracemalloc.start()
         try:
-            start = tracemalloc.get_traced_memory()[0]
-            out = T.attention(xt, heads)
-            kept = tracemalloc.get_traced_memory()[0] - start
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            out._node.backward(g)
-            backward_peak = tracemalloc.get_traced_memory()[1] - before
+            T._attention_blocks(q, kt, v, ctx, g)
+            backward_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the output, q, k^T and v are a third of qkv each; the node, its
-        # closure and the block slices take a few KiB
-        assert kept <= 4 * qkv.nbytes / 3 + 2**13, kept
         # dqkv plus one block's working set: its probabilities, their
         # gradient and the product whose row sums the softmax backward takes
         assert backward_peak <= qkv.nbytes + 3 * block + 2**17, backward_peak
@@ -889,38 +895,16 @@ class TestAttention:
         rng = np.random.default_rng(14)
         qkv = rng.standard_normal((groups, s, 3 * heads * hd))
         w = rng.standard_normal((groups, s, heads * hd))
-        assert np.allclose(T.attention(Tensor(qkv), heads).data, attention_oracle(qkv, heads),
+        assert np.allclose(blocks_forward(qkv, heads), attention_oracle(qkv, heads),
                            rtol=0, atol=1e-12)
-        g = grad_of(lambda xt: proj_loss(T.attention(xt, heads), w), qkv)
+        g = T._attention_blocks(*T._attention_heads(qkv, heads), None, w)
         fd = central_diff(lambda v: float((attention_oracle(v, heads) * w).sum()), qkv)
         assert max_rel_err(g, fd) < 1e-5
 
     def test_single_token_passes_values_through(self):
         rng = np.random.default_rng(15)
         qkv = rng.standard_normal((3, 1, 12))
-        assert np.array_equal(T.attention(Tensor(qkv), 2).data, qkv[..., 8:])
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            T.attention(Tensor(np.zeros((2, 3, 10))), 2)
-
-    def test_closure_keeps_kt_not_k(self):
-        groups, s, heads, hd = 2, 5, 2, 3
-        width = heads * hd
-        qkv = np.random.default_rng(20).standard_normal((groups, s, 3 * width))
-        out = T.attention(Tensor(qkv, requires_grad=True), heads)
-        kept = closure_arrays(out._node)
-        q, k, v = (qkv[..., i * width:(i + 1) * width].reshape(groups, s, heads, hd)
-                   .transpose(0, 2, 1, 3) for i in range(3))
-        # q, k^T and v, each an array of its own, and no probabilities
-        assert len(kept) == 3 and all(base_array(a) is a for a in kept)
-        assert all(a.size != groups * heads * s * s for a in kept)
-        for want in (q, k.swapaxes(-1, -2), v):
-            assert any(np.array_equal(a, want) for a in kept)
-        assert not any(np.array_equal(a, k) for a in kept)
-        # graphwalk reads the closure's own cells, so no array may sit
-        # behind a function the closure holds
-        assert not any(callable(c.cell_contents) for c in out._node.backward.__closure__)
+        assert np.array_equal(blocks_forward(qkv, 2), qkv[..., 8:])
 
 
 class TestOwnedGradients:
