@@ -118,6 +118,8 @@ def _load_text(path):
             if "=" not in part:
                 raise DataError(f"{path}: malformed header field {part!r}")
             key, val = part.split("=", 1)
+            if key in fields:
+                raise DataError(f"{path}: header field {key!r} given twice in {header!r}")
             fields[key] = val
         try:
             n = int(fields["N"])

@@ -135,12 +135,14 @@ def build_params(config, n_nodes, frequency, rng):
 
 
 def msa(z, params, layer, heads):
-    """The pre-norm attention sublayer: layer norm ``ln1``, then multi-head
-    self-attention within each leading-axis group.
+    """The pre-norm attention sublayer with its residual: ``z`` plus
+    multi-head self-attention, within each leading-axis group, over layer
+    norm ``ln1`` of ``z``.
 
-    The norm, the qkv projection, attention and the output projection are
-    one ``norm_attention`` node. Scores are divided by sqrt(width / heads);
-    heads are concatenated and passed through the output projection.
+    The norm, the qkv projection, attention, the output projection and
+    the residual add are one ``norm_attention`` node. Scores are divided by
+    sqrt(width / heads); heads are concatenated and passed through the
+    output projection.
     """
     return T.norm_attention(z, params[f"enc.{layer}.ln1.g"], params[f"enc.{layer}.ln1.b"],
                             params[f"enc.{layer}.qkv"], params[f"enc.{layer}.qkv_b"],
@@ -149,15 +151,16 @@ def msa(z, params, layer, heads):
 
 def encoder_forward(z0, params, layers, heads):
     """Pre-norm residual blocks: attention then feed-forward, each applied
-    to the layer-normed input and added back. Each feed-forward block is
-    one ``norm_ffn`` node."""
+    to the layer-normed input and added back. Each sublayer is one node
+    that adds its own input back (``msa``'s ``norm_attention``, then
+    ``norm_ffn``), so the tape holds two nodes per layer and no residual
+    sum of its own."""
     z = z0
     for i in range(layers):
-        z = T.add(msa(z, params, i, heads), z)
-        ffn = T.norm_ffn(z, params[f"enc.{i}.ln2.g"], params[f"enc.{i}.ln2.b"],
-                         params[f"enc.{i}.ffn1"], params[f"enc.{i}.ffn1_b"],
-                         params[f"enc.{i}.ffn2"], params[f"enc.{i}.ffn2_b"])
-        z = T.add(ffn, z)
+        z = msa(z, params, i, heads)
+        z = T.norm_ffn(z, params[f"enc.{i}.ln2.g"], params[f"enc.{i}.ln2.b"],
+                       params[f"enc.{i}.ffn1"], params[f"enc.{i}.ffn1_b"],
+                       params[f"enc.{i}.ffn2"], params[f"enc.{i}.ffn2_b"])
     return z
 
 

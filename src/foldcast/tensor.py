@@ -7,8 +7,8 @@ need one, and the closure that pushes an output gradient back to them.
 The tape links nodes, not tensors: each closure keeps only the arrays its
 backward reads. A generic op decides per operand: it keeps nothing for
 (and computes no gradient for) a parent that needs no gradient. So an op
-output that no backward reads, such as a residual sum, is freed as soon
-as the forward drops it.
+output that no backward reads, such as a perturbed token sum, is freed as
+soon as the forward drops it.
 Calling ``backward()`` on a scalar walks the nodes once in reverse
 topological order. Evaluation is single-threaded and tensors are treated
 as immutable after creation (the optimizer step on parameters is the one
@@ -25,7 +25,10 @@ feed-forward block that keeps the normalized rows, 1/sigma and the
 pre-activation, one tokens x ffn array, not two: its backward rebuilds
 GELU and its derivative). The two sublayer nodes decide per call, not
 per operand: taped when any operand needs a gradient, they compute every
-gradient, and an operand that needs none drops its own.
+gradient, and an operand that needs none drops its own. Each returns
+``x + sublayer(x)``: it adds its input ``x`` into its own output buffer,
+and its backward hands ``x``'s node one gradient, the norm's plus the
+output's, so neither a residual sum nor a copy of its gradient exists.
 
 ``norm_attention`` and GELU work through their input a cache-sized block
 at a time: attention by groups, GELU by elements. Each group or element
@@ -294,10 +297,11 @@ def linear_gelu(x, w, b):
 
 
 def norm_attention(x, gamma, beta, w_qkv, b_qkv, w_o, b_o, heads):
-    """``layer_norm``, the qkv projection (q, k and v side by side, each in
-    ``heads`` heads of width hd), softmax(Q K^T / sqrt(hd)) V and the output
-    projection as one node, bit for bit: a pre-norm attention sublayer over
-    (groups, s, k) input.
+    """``x`` plus ``layer_norm``, the qkv projection (q, k and v side by
+    side, each in ``heads`` heads of width hd), softmax(Q K^T / sqrt(hd)) V
+    and the output projection, as one node, bit for bit: a pre-norm
+    attention sublayer with its residual over (groups, s, k) input. The
+    output projection must map back to width k.
 
     Taped when any operand needs a gradient (one decision per call, not
     per operand), the node keeps the normalized rows and 1/sigma, never the
@@ -306,6 +310,8 @@ def norm_attention(x, gamma, beta, w_qkv, b_qkv, w_o, b_o, heads):
     calls, then the context block by block from the probabilities it
     rebuilds for attention's gradient, and the norm's output once more for
     ``w_qkv``'s gradient: one more qkv GEMM for the unfused chain's bits.
+    ``x`` is added into the output in place, and the output's gradient
+    into ``x``'s before ``x``'s node receives it.
     """
     _require_biases("norm_attention", b_qkv=b_qkv, b_o=b_o)
     x = _as_tensor(x)
@@ -318,7 +324,7 @@ def norm_attention(x, gamma, beta, w_qkv, b_qkv, w_o, b_o, heads):
     groups, s, k = x_shape
     width = w_qkv.data.shape[1] // 3
     w_o, b_o = _linear_operands((groups, s, width), w_o, b_o)
-    m = w_o.data.shape[1]
+    _require_residual("norm_attention", x_shape, w_o.data.shape)
     nodes = [_grad_node(t) for t in (x, gamma, beta, w_qkv, b_qkv, w_o, b_o)]
     nx, ng, nbeta, nwq, nbq, nwo, nbo = nodes
     taped = any(node is not None for node in nodes)
@@ -333,13 +339,14 @@ def norm_attention(x, gamma, beta, w_qkv, b_qkv, w_o, b_o, heads):
     data = ctx.reshape(-1, width) @ w_o
     ctx = None
     data += b_o
-    data = data.reshape(groups, s, m)
+    data = data.reshape(x_shape)
+    data += x.data
 
     def backward(g):
         # the context is rebuilt beside attention's gradient, so the
         # probabilities are built once per block; q, k^T, v and the context
         # go before the norm's output is rebuilt for dW_qkv
-        g2 = g.reshape(-1, m)
+        g2 = g.reshape(-1, k)
         _accumulate(nbo, g.sum(axis=(0, 1)))
         q, kt, v = _norm_qkv(xhat, gamma, beta, w_qkv, b_qkv, heads)
         g_ctx = (g2 @ w_o.T).reshape(groups, s, width)
@@ -353,7 +360,7 @@ def norm_attention(x, gamma, beta, w_qkv, b_qkv, w_o, b_o, heads):
         _accumulate(nbq, dqkv.sum(axis=(0, 1)))
         dx = (d2 @ w_qkv.T).reshape(x_shape)
         dqkv = d2 = None
-        _ln_backward(dx, xhat, inv, gamma, nx, ng, nbeta)
+        _ln_backward(dx, xhat, inv, gamma, nx, ng, nbeta, residual=g)
 
     return _from_op(data, nodes, backward)
 
@@ -369,8 +376,9 @@ def _norm_qkv(xhat, gamma, beta, w, b, heads, out=None):
 
 
 def norm_ffn(x, gamma, beta, w1, b1, w2, b2):
-    """``linear(gelu(linear(layer_norm(x, gamma, beta), w1, b1)), w2, b2)``
-    as one node, bit for bit: a pre-norm feed-forward block.
+    """``x + linear(gelu(linear(layer_norm(x, gamma, beta), w1, b1)), w2, b2)``
+    as one node, bit for bit: a pre-norm feed-forward block with its
+    residual. ``w2`` must map back to ``x``'s width.
 
     Taped when any operand needs a gradient (one decision per call, not
     per operand), the node keeps the normalized rows, 1/sigma and the
@@ -379,6 +387,8 @@ def norm_ffn(x, gamma, beta, w1, b1, w2, b2):
     GELU and the derivative over ``a`` by the forward's own chunks, writes
     ``a``'s gradient over that output, and rebuilds the norm's output for
     ``w1``'s gradient: one more GELU pass for the unfused chain's bits.
+    ``x`` is added into the output in place, and the output's gradient
+    into ``x``'s before ``x``'s node receives it.
     """
     _require_biases("norm_ffn", b1=b1, b2=b2)
     x = _as_tensor(x)
@@ -387,7 +397,7 @@ def norm_ffn(x, gamma, beta, w1, b1, w2, b2):
     x_shape = x.data.shape
     k, f = w1.data.shape
     w2, b2 = _linear_operands(x_shape[:-1] + (f,), w2, b2)
-    m = w2.data.shape[1]
+    _require_residual("norm_ffn", x_shape, w2.data.shape)
     nodes = [_grad_node(t) for t in (x, gamma, beta, w1, b1, w2, b2)]
     nx, ng, nbeta, nw1, nb1, nw2, nb2 = nodes
     taped = any(node is not None for node in nodes)
@@ -404,14 +414,15 @@ def norm_ffn(x, gamma, beta, w1, b1, w2, b2):
     data = h @ w2
     del h
     data += b2
-    data = data.reshape(x_shape[:-1] + (m,))
+    data = data.reshape(x_shape)
+    data += x.data
 
     def backward(g):
         # GELU's output and derivative are rebuilt over a; dW2 and db2 read
         # the output, then a's gradient is written over it
         nonlocal a
         lead = tuple(range(g.ndim - 1))
-        g2 = g.reshape(-1, m)
+        g2 = g.reshape(-1, k)
         deriv = np.empty(a.shape)
         _gelu_into(a, a, deriv)
         _accumulate(nw2, a.T @ g2)
@@ -424,7 +435,7 @@ def norm_ffn(x, gamma, beta, w1, b1, w2, b2):
         _accumulate(nb1, da.reshape(x_shape[:-1] + (f,)).sum(axis=lead))
         dx = (da @ w1.T).reshape(x_shape)
         del da
-        _ln_backward(dx, xhat, inv, gamma, nx, ng, nbeta)
+        _ln_backward(dx, xhat, inv, gamma, nx, ng, nbeta, residual=g)
 
     return _from_op(data, nodes, backward)
 
@@ -448,6 +459,14 @@ def _require_biases(op, **biases):
     for name, b in biases.items():
         if b is None:
             raise ShapeError(f"{op} needs a bias array for {name}, got None")
+
+
+def _require_residual(op, x_shape, w_shape):
+    """Reject a sublayer whose output projection ``w_shape`` changes the
+    width of its input ``x_shape``: the node adds its input back."""
+    if w_shape[1] != x_shape[-1]:
+        raise ShapeError(f"{op} adds its input back, so its output width must be "
+                         f"the input's: {x_shape} in, {w_shape[1]} out")
 
 
 def _affine(x, w, b, activate):
@@ -712,9 +731,10 @@ def _ln_scale_shift(xhat, gamma, beta, out=None):
     return y
 
 
-def _ln_backward(g, xhat, inv, gamma, nx, ng, nb):
+def _ln_backward(g, xhat, inv, gamma, nx, ng, nb, residual=None):
     """Push the layer norm output's gradient ``g`` to the nodes of beta,
-    gamma and x that need one."""
+    gamma and x that need one; a sublayer node's ``residual``, the gradient
+    of its output, is added into x's before x's node receives it."""
     lead = tuple(range(g.ndim - 1))
     if nb is not None:
         _accumulate(nb, g.sum(axis=lead))
@@ -727,6 +747,8 @@ def _ln_backward(g, xhat, inv, gamma, nx, ng, nb):
             - dxhat.mean(axis=-1, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         )
+        if residual is not None:
+            dx += residual
         _accumulate(nx, dx)
 
 

@@ -153,6 +153,13 @@ class TestTextLoader:
         with pytest.raises(DataError, match="row 2 has 3 cells, expected 2"):
             load_series(path)
 
+    def test_header_field_given_twice(self, tmp_path):
+        # the later value used to win: this file loaded at frequency 48
+        path = tmp_path / "twice.txt"
+        path.write_bytes(b"N=1 FREQ=24 START=0 FREQ=48\n1.0\n")
+        with pytest.raises(DataError, match="header field 'FREQ' given twice"):
+            load_series(path)
+
     @pytest.mark.parametrize("body", ["", "\n \n"], ids=["header_only", "blank_lines"])
     def test_no_data_rows_warns_nothing(self, tmp_path, body):
         path = self.write(tmp_path, 2, body)

@@ -1,5 +1,5 @@
-"""Encoder semantics: attention vs a loop oracle, residual identity,
-permutation equivariance, and gradient checks."""
+"""Encoder semantics: attention vs a loop oracle, residual identity, the
+unfused chain bit for bit, permutation equivariance, and gradient checks."""
 import numpy as np
 import pytest
 
@@ -9,7 +9,7 @@ from foldcast.tensor import Tensor
 from foldcast.train import TrainConfig
 
 from fdcheck import central_diff, max_rel_err
-from unfused import unfused_msa
+from unfused import unfused_ffn, unfused_msa
 
 
 def toy_config(width=8, heads=2, ffn=6, layers=1, horizon=2):
@@ -85,7 +85,7 @@ class TestMSA:
         w = cfg.width
         qkv = ln1_rows(z, params) @ params["enc.0.qkv"].data + params["enc.0.qkv_b"].data
         v = qkv[..., 2 * w :]
-        expected = v @ params["enc.0.wo"].data + params["enc.0.wo_b"].data
+        expected = z + (v @ params["enc.0.wo"].data + params["enc.0.wo_b"].data)
         assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_matches_loop_oracle_on_three_tokens(self):
@@ -96,7 +96,7 @@ class TestMSA:
             params[name].data = rng.standard_normal(params[name].shape)
         z = rng.standard_normal((2, 3, 8))
         ours = msa(Tensor(z), params, 0, cfg.heads).data
-        oracle = loop_attention(z, params, cfg.heads)
+        oracle = z + loop_attention(z, params, cfg.heads)
         assert np.max(np.abs(ours - oracle)) < 1e-10
 
     def test_attention_rows_sum_to_one(self):
@@ -106,10 +106,24 @@ class TestMSA:
         assert np.all(np.abs(attn.data.sum(-1) - 1.0) <= 1e-12)
 
 
+# each sublayer's parameters under ``enc.<layer>.``, in its node's operand order
+MSA_NAMES = ("ln1.g", "ln1.b", "qkv", "qkv_b", "wo", "wo_b")
+FFN_NAMES = ("ln2.g", "ln2.b", "ffn1", "ffn1_b", "ffn2", "ffn2_b")
+
+
 def reference_msa(z, params, layer, heads):
-    """The unfused chain of public ops that ``msa``'s one node replaced."""
-    names = ("ln1.g", "ln1.b", "qkv", "qkv_b", "wo", "wo_b")
-    return unfused_msa(z, *(params[f"enc.{layer}.{name}"] for name in names), heads)
+    """The unfused chain of public ops that ``msa``'s one node replaced,
+    its residual an explicit ``add``."""
+    return T.add(unfused_msa(z, *(params[f"enc.{layer}.{n}"] for n in MSA_NAMES), heads), z)
+
+
+def reference_encoder(z, params, layers, heads):
+    """``encoder_forward`` as the unfused chain of public ops, each
+    sublayer's residual an explicit ``add``."""
+    for i in range(layers):
+        z = reference_msa(z, params, i, heads)
+        z = T.add(unfused_ffn(z, *(params[f"enc.{i}.{n}"] for n in FFN_NAMES)), z)
+    return z
 
 
 class TestFusedParity:
@@ -138,6 +152,34 @@ class TestFusedParity:
 
 
 class TestEncoder:
+    def test_two_layers_match_the_unfused_chain_bit_for_bit(self):
+        # 20 groups of 128 tokens over 2 heads: attention walks 3 blocks of
+        # groups (8, 8 and 4), and each FFN's GELU eight chunks
+        groups, s, heads = 20, 128, 2
+        assert groups > T._ATTENTION_BLOCK_FLOATS // (heads * s * s)
+        rng = np.random.default_rng(12)
+        cfg = toy_config(width=8, heads=heads, ffn=16, layers=2)
+        params = toy_params(cfg, rng)
+        for name, t in params.items():
+            if name.startswith("enc.") and name.endswith((".g", ".b", "_b")):
+                t.data = rng.standard_normal(t.shape)
+        z0 = rng.standard_normal((groups, s, cfg.width))
+        w = rng.standard_normal((groups, s, cfg.width))
+        results = []
+        for fn in (encoder_forward, reference_encoder):
+            params.zero_grads()
+            zt = Tensor(z0, requires_grad=True)
+            out = fn(zt, params, cfg.layers, heads)
+            T.tsum(T.mul(out, w)).backward()
+            results.append((out.data.tobytes(), zt.grad.tobytes(),
+                            {n: g.tobytes() for n, g in params.grads().items()}))
+        (out, gz, gp), (ref_out, ref_gz, ref_gp) = results
+        assert out == ref_out
+        assert gz == ref_gz
+        assert gp.keys() == ref_gp.keys() == {n for n in params.tensors if n.startswith("enc.")}
+        for name, g in gp.items():
+            assert g == ref_gp[name], name
+
     def test_zeroed_branch_outputs_make_identity(self):
         rng = np.random.default_rng(3)
         cfg = toy_config(layers=2)

@@ -10,7 +10,7 @@ from foldcast.tensor import AdamState, ShapeError, Tensor, adam_step
 
 from fdcheck import central_diff, max_rel_err
 from graphwalk import base_array, closure_arrays
-from unfused import unfused_msa
+from unfused import unfused_ffn, unfused_msa, with_residual
 
 
 def proj_loss(out, w):
@@ -453,8 +453,11 @@ class TestNormAttention:
     GRADS = [tuple(bool(mask >> i & 1) for i in range(7)) for mask in range(128)]
 
     @staticmethod
-    def values(rng, groups, s, heads, hd, m=12):
+    def values(rng, groups, s, heads, hd, m=None):
+        # the node adds x back, so its output width m is x's unless a test
+        # asks for a mismatch
         width = heads * hd
+        m = width if m is None else m
         return norm_values(rng, (groups, s, width), (width, 3 * width)) + [
             rng.standard_normal((width, m)) / np.sqrt(width), rng.standard_normal(m)]
 
@@ -469,19 +472,20 @@ class TestNormAttention:
         assert -(-groups // block) == blocks
         rng = np.random.default_rng(34)
         values = self.values(rng, groups, s, heads, hd)
-        proj = rng.standard_normal((groups, s, 12))
+        proj = rng.standard_normal((groups, s, heads * hd))
+        oracle = self.op(heads, with_residual(unfused_msa))
         for grads in self.GRADS:
-            assert_fused_matches(self.op(heads), self.op(heads, unfused_msa), values, grads, proj)
+            assert_fused_matches(self.op(heads), oracle, values, grads, proj)
 
     def test_grads_match_fd(self):
         rng = np.random.default_rng(35)
-        values = self.values(rng, 2, 3, 2, 2, m=5)
-        proj = rng.standard_normal((2, 3, 5))
+        values = self.values(rng, 2, 3, 2, 2)
+        proj = rng.standard_normal((2, 3, 4))
         _, grads = run_op(self.op(2), values, (True,) * 7, proj)
         # the key bias shifts every score of a row alike, so its gradient is
         # zero, which central differences read as about 4e-10
         assert_grads_match_fd(grads, values, lambda x, gamma, beta, w_qkv, b_qkv, w_o, b_o: (
-            attention_oracle((layer_norm_formula(x) * gamma + beta) @ w_qkv + b_qkv, 2)
+            x + attention_oracle((layer_norm_formula(x) * gamma + beta) @ w_qkv + b_qkv, 2)
             @ w_o + b_o) * proj, floor=1e-4)
 
     def test_keeps_normalized_rows_and_inverse_sigma(self):
@@ -504,14 +508,14 @@ class TestNormAttention:
     def test_one_operand_keeps_the_fully_taped_arrays(self, operand):
         rng = np.random.default_rng(37)
         values = self.values(rng, 3, 50, 2, 8)
-        kept = assert_taped_per_call(self.op(2), values, operand, rng.standard_normal((3, 50, 12)))
+        kept = assert_taped_per_call(self.op(2), values, operand, rng.standard_normal((3, 50, 16)))
         assert kept == [(3, 50, 1), (3, 50, 16)]
 
     def test_second_backward_raises(self):
         rng = np.random.default_rng(38)
         values = self.values(rng, 3, 50, 2, 8)
         tensors = [Tensor(v, requires_grad=True) for v in values]
-        loss = proj_loss(T.norm_attention(*tensors, 2), rng.standard_normal((3, 50, 12)))
+        loss = proj_loss(T.norm_attention(*tensors, 2), rng.standard_normal((3, 50, 16)))
         loss.backward()
         grads = [t.grad.copy() for t in tensors]
         with pytest.raises(RuntimeError, match="released"):
@@ -525,6 +529,9 @@ class TestNormAttention:
             T.norm_attention(values[0][0], *values[1:], 2)
         with pytest.raises(ShapeError):  # qkv width not a multiple of 3 * heads
             T.norm_attention(*values, 3)
+        wider = self.values(rng, 2, 3, 2, 2, m=5)
+        with pytest.raises(ShapeError, match=r"norm_attention adds its input back.* 5 out"):
+            T.norm_attention(*wider, 2)
 
     @pytest.mark.parametrize("index, name", [(4, "b_qkv"), (6, "b_o")])
     def test_none_bias_raises_shape_error(self, index, name):
@@ -559,9 +566,8 @@ def assert_grads_match_fd(grads, values, terms, floor=1e-6):
         assert max_rel_err(g, central_diff(f, values[i]), floor) < 1e-5, i
 
 
-def ffn_oracle(x, gamma, beta, w1, b1, w2, b2):
-    """The unfused chain a ``norm_ffn`` node stands for."""
-    return T.linear(T.gelu(T.linear(T.layer_norm(x, gamma, beta), w1, b1)), w2, b2)
+# the unfused chain a ``norm_ffn`` node stands for
+ffn_oracle = with_residual(unfused_ffn)
 
 
 class TestNormFFN:
@@ -573,8 +579,11 @@ class TestNormFFN:
     GRADS = TestNormAttention.GRADS
 
     @staticmethod
-    def values(rng, x_shape, w_shape, m=12):
+    def values(rng, x_shape, w_shape, m=None):
+        # the node adds x back, so its output width m is x's unless a test
+        # asks for a mismatch
         f = w_shape[1]
+        m = x_shape[-1] if m is None else m
         return norm_values(rng, x_shape, w_shape) + [
             rng.standard_normal((f, m)) / np.sqrt(f), rng.standard_normal(m)]
 
@@ -583,17 +592,17 @@ class TestNormFFN:
         x_shape, w_shape = self.SHAPES[size]
         rng = np.random.default_rng(37)
         values = self.values(rng, x_shape, w_shape)
-        proj = rng.standard_normal(x_shape[:-1] + (12,))
+        proj = rng.standard_normal(x_shape)
         for grads in self.GRADS:
             assert_fused_matches(T.norm_ffn, ffn_oracle, values, grads, proj)
 
     def test_grads_match_fd(self):
         rng = np.random.default_rng(38)
-        values = self.values(rng, (2, 3, 4), (4, 5), m=3)
-        proj = rng.standard_normal((2, 3, 3))
+        values = self.values(rng, (2, 3, 4), (4, 5))
+        proj = rng.standard_normal((2, 3, 4))
         _, grads = run_op(T.norm_ffn, values, (True,) * 7, proj)
         assert_grads_match_fd(grads, values, lambda x, gamma, beta, w1, b1, w2, b2: (
-            gelu_formula((layer_norm_formula(x) * gamma + beta) @ w1 + b1) @ w2 + b2) * proj)
+            x + gelu_formula((layer_norm_formula(x) * gamma + beta) @ w1 + b1) @ w2 + b2) * proj)
 
     def test_keeps_normalized_rows_inverse_sigma_and_pre_activation(self):
         # never the norm's output, GELU's output or its derivative
@@ -614,19 +623,24 @@ class TestNormFFN:
     def test_one_operand_keeps_the_fully_taped_arrays(self, operand):
         rng = np.random.default_rng(42)
         values = self.values(rng, (3, 50, 16), (16, 64))
-        kept = assert_taped_per_call(T.norm_ffn, values, operand, rng.standard_normal((3, 50, 12)))
+        kept = assert_taped_per_call(T.norm_ffn, values, operand, rng.standard_normal((3, 50, 16)))
         assert kept == [(3, 50, 1), (3, 50, 16), (150, 64)]
 
     def test_second_backward_raises(self):
         rng = np.random.default_rng(40)
         values = self.values(rng, (3, 50, 16), (16, 64))
         tensors = [Tensor(v, requires_grad=True) for v in values]
-        loss = proj_loss(T.norm_ffn(*tensors), rng.standard_normal((3, 50, 12)))
+        loss = proj_loss(T.norm_ffn(*tensors), rng.standard_normal((3, 50, 16)))
         loss.backward()
         grads = [t.grad.copy() for t in tensors]
         with pytest.raises(RuntimeError, match="released"):
             loss.backward()
         assert all(t.grad.tobytes() == g.tobytes() for t, g in zip(tensors, grads))
+
+    def test_output_width_must_be_the_input_width(self):
+        values = self.values(np.random.default_rng(43), (2, 3, 4), (4, 5), m=3)
+        with pytest.raises(ShapeError, match=r"norm_ffn adds its input back.* 3 out"):
+            T.norm_ffn(*values)
 
     @pytest.mark.parametrize("index, name", [(4, "b1"), (6, "b2")])
     def test_none_bias_raises_shape_error(self, index, name):

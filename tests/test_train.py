@@ -503,7 +503,7 @@ class TestGraphRelease:
         spy("norm_ffn", "ffn")
         spy("linear_gelu", "gelu_out")
         spy("layer_norm", "ln_out")
-        spy("add", "residual")  # node-level training adds only the residuals
+        spy("add", "residual")  # none: each sublayer node adds its own residual
         spy("concat_lastdim", "fused")
         param_ids = {id(t) for t in forecaster.params.tensors.values()}
         spy("gather_rows", "gathered", lambda args: id(args[0]) not in param_ids)
@@ -536,7 +536,7 @@ class TestGraphRelease:
         tod, dow = rng.integers(0, 24, batch), rng.integers(0, 7, batch)
         loss, _ = training_forward(forecaster, inputs, targets, tod, dow, rng)
         monkeypatch.undo()
-        assert [len(refs) for refs in buffers.values()] == [2, 6, 0, 2, 1, 4, 1, 1, 4]
+        assert [len(refs) for refs in buffers.values()] == [2, 6, 0, 2, 1, 0, 1, 1, 4]
         # each encoder FFN wrote GELU beside its pre-activation, which its
         # backward reads; the head wrote over its GEMM's output, the buffer
         # the fused node returns, so no pre-activation of its own existed
@@ -547,12 +547,13 @@ class TestGraphRelease:
         assert [written() for _, written in gelu_passes[:-1]] == [None, None]
         alive = {kind: [i for i, ref in enumerate(refs) if ref() is not None]
                  for kind, refs in buffers.items()}
-        # the last residual sum is the head's input, read by its weight
-        # gradient; the head's GELU output is the input of its second
-        # projection; a layer norm's output is rebuilt from its normalized
-        # rows, and attention's q, k^T and v from that, not kept
-        assert alive == {"attn": [], "heads": [], "preact": [], "ffn": [], "gelu_out": [0],
-                         "residual": [3], "fused": [], "gathered": [], "ln_out": []}
+        # the last FFN's output, its residual included, is the head's
+        # input, read by its weight gradient; the head's GELU output is the
+        # input of its second projection; a layer norm's output is rebuilt
+        # from its normalized rows, and attention's q, k^T and v from that,
+        # not kept
+        assert alive == {"attn": [], "heads": [], "preact": [], "ffn": [1], "gelu_out": [0],
+                         "residual": [], "fused": [], "gathered": [], "ln_out": []}
         loss.backward()
         assert all(g is not None for g in forecaster.params.grads().values())
 
@@ -808,8 +809,9 @@ class TestStepPeak:
         # norms' outputs (8.49 and 7.99 units), without attention's
         # probabilities (6.12), without GELU's output (5.12) and without
         # attention's q, k^T, v and wo's input (4.12). The backward reads
-        # 0.42 over that last graph, 0.10 before it: attention's backward
-        # rebuilds q, k^T, v and the context beside their gradients.
+        # 0.17 over that last graph, 0.42 while each residual was an ``add``
+        # that copied its gradient, 0.10 before attention's backward rebuilt
+        # q, k^T, v and the context beside their gradients.
         excess = max(self.step_excess(120, 16, mask_strategy="all_zero"))
         assert excess <= 2.6, excess
 
@@ -817,10 +819,11 @@ class TestStepPeak:
                              [("node_level", 8, 1), ("all_zero", 16, 1), ("node_level", 8, 2)],
                              ids=["node_level-8", "all_zero-16", "node_level-8-two_layers"])
     def test_released_backward_stays_under_the_forward_peak(self, strategy, batch, layers):
-        # The released backward reads 0.10 here (node_level) and 0.42
+        # The released backward reads 0.09 here (node_level) and 0.17
         # (all_zero, whose attention backward rebuilds q, k^T, v and the
-        # context of all 16 whole-graph groups beside their gradients): each
-        # closure's arrays go as it runs. The forward reads 0.75 (node_level)
+        # context of all 16 whole-graph groups beside their gradients; 0.42
+        # while each residual ``add`` copied its gradient): each closure's
+        # arrays go as it runs. The forward reads 0.75 (node_level)
         # and 0.46 (all_zero): in-place GELU's scratch is at most half an
         # array, the rest the step's inputs. A fused layer norm's output is
         # scratch too, a quarter of a unit here, freed before GELU's. The

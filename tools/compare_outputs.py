@@ -3,9 +3,10 @@
 Usage: python3 tools/compare_outputs.py <checkout-a> <checkout-b>
 
 Runs one CLI matrix in each checkout, each command in a subprocess with
-``PYTHONPATH=<checkout>/src`` and ``OMP_NUM_THREADS=1``, and always at
-the same output path, so that ``config.resolved`` and the paths echoed
-on stdout agree. The matrix: a small synthetic series, written in both
+``PYTHONPATH=<checkout>/src`` and every BLAS thread variable at 1
+(``THREAD_VARS``: the bundled OpenBLAS reads ``OPENBLAS_NUM_THREADS``
+before ``OMP_NUM_THREADS``), and always at the same output path, so
+that ``config.resolved`` and the paths echoed on stdout agree. The matrix: a small synthetic series, written in both
 the text and the binary format; then, for the
 determinism config of the acceptance suite and eight variants of it,
 ``train``, ``eval`` and ``dump-embeddings``; then ``ablate --axis
@@ -52,11 +53,14 @@ FULL_GRAPH_CONFIG = (
     "subgraph_size = 96\nmax_epochs = 2\nseed = 7\n"
 )
 WALL_COLUMNS = {"ablate_folding.csv": "wall_seconds", "bench.csv": "epoch_seconds"}
+# BLAS thread counts, each pinned to 1 as perfbench pins them
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def foldcast(checkout, work, *args):
     """Run one CLI command in ``work``; its stdout, preceded by the exit code."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), OMP_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    env.update((var, "1") for var in THREAD_VARS)
     done = subprocess.run(
         [sys.executable, "-m", "foldcast.cli", *args],
         cwd=work, env=env, capture_output=True, text=True,
